@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .lattice import DeltaRegion, LatticePoint, enumerate_points
+from .lattice import DeltaRegion, LatticePoint, count_points
 from .polynomials import (
     FamilyRejectionError,
     SparsePoly,
@@ -149,7 +149,7 @@ def _cmd_piece_dim(args) -> int:
         print("piece-dim: need --e >= 1 and --n >= 0", file=sys.stderr)
         return 3
     pres = compute_presentation(triple)
-    points = len(enumerate_points(pres, args.e))
+    points = count_points(pres, args.e)
     constraints = len(derivative_orders(args.n))
     dim = piece_dimension(pres, args.e, args.n)
     print(json.dumps({

@@ -12,6 +12,11 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
 
 All comparisons are exact rational arithmetic: vertices are kept as
 fractions and each column of points is obtained by one ceil and one floor.
+Those integer column bounds come from one helper, `_column_bounds`.  The
+column counts behind the EU criterion and the point totals read them
+directly, in O(u) work with no point built, so an inapplicable triple costs
+O(u) rather than the area of D; only the derivative systems enumerate
+points.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .presentation import HerzogPresentation
 
@@ -94,20 +98,22 @@ class DeltaRegion:
         )
 
 
-@lru_cache(maxsize=512)
-def _enumerate_cached(p: HerzogPresentation, e: int) -> tuple[LatticePoint, ...]:
-    # integer-only floors/ceils of the three boundary lines; cached because
-    # criteria and witness paths each enumerate the same region
+def _column_bounds(p: HerzogPresentation, e: int) -> Iterator[tuple[int, int]]:
+    """(b_lo, b_hi) for each column alpha = 0..e*u of e*D, in order.
+
+    b_lo is the ceiling of the higher of the two lower boundary lines and
+    b_hi the floor of the upper one, both in integer arithmetic; the column
+    holds the integers b_lo..b_hi, none when b_lo > b_hi.
+    """
+    if e < 1:
+        raise ValueError("scale e must be >= 1")
     s2, s3, t, t3, u, u2 = p.s2, p.s3, p.t, p.t3, p.u, p.u2
-    points = []
     for alpha in range(e * u + 1):
         b_hi = (u2 * alpha) // u
         lo1 = -((s2 * alpha) // s3)  # ceil(-s2*alpha/s3)
         num2 = t * (alpha - e * u) + e * u2 * t3
         lo2 = -((-num2) // t3)  # ceil(num2/t3)
-        b_lo = max(lo1, lo2)
-        points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
-    return tuple(points)
+        yield max(lo1, lo2), b_hi
 
 
 def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
@@ -116,18 +122,27 @@ def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
     The ordering is frozen so that constraint matrices, witnesses and
     regression values are reproducible bit for bit.  (0, 0) is always first.
     """
-    if e < 1:
-        raise ValueError("scale e must be >= 1")
-    return list(_enumerate_cached(p, e))
+    points = []
+    for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
+        points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
+    return points
+
+
+def count_points(p: HerzogPresentation, e: int = 1) -> int:
+    """Number of integer points of e*D, read from the column bounds."""
+    return sum(max(0, b_hi - b_lo + 1) for b_lo, b_hi in _column_bounds(p, e))
 
 
 def column_counts(p: HerzogPresentation) -> tuple[int, ...]:
-    """(l_1, ..., l_u): points of D per column alpha = 1..u (alpha = 0 excluded)."""
-    counts = [0] * p.u
-    for pt in _enumerate_cached(p, 1):
-        if pt.alpha >= 1:
-            counts[pt.alpha - 1] += 1
-    return tuple(counts)
+    """(l_1, ..., l_u): points of D per column alpha = 1..u (alpha = 0 excluded).
+
+    Each count is max(0, b_hi - b_lo + 1) from the same integer column
+    bounds that `enumerate_points` walks, so it costs O(u) whatever the
+    area of D: no point is built and nothing is cached.
+    """
+    bounds = _column_bounds(p, 1)
+    next(bounds)  # column alpha = 0 holds only (0, 0)
+    return tuple(max(0, b_hi - b_lo + 1) for b_lo, b_hi in bounds)
 
 
 def interval_lattice_count(lo: Fraction, hi: Fraction) -> int:

@@ -76,13 +76,21 @@ def _all_representations(M: int, p: int, q: int) -> list[tuple[int, int]]:
 
 
 def _minimal_multiple(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
-    """Least k >= 1 with k*w in N0*p + N0*q, plus the minimal-j witness."""
+    """Least k >= 1 with k*w in N0*p + N0*q, plus the minimal-j witness.
+
+    The witness is what `representable(k*w, p, q)` returns: its minimal j is
+    k*w*q^{-1} mod p, advanced here by one addition per k.
+    """
     # every integer beyond the Frobenius bound pq - p - q is representable
     cap = max(1, (p * q - p - q) // w + 1)
+    step = (w * pow(q, -1, p)) % p if p > 1 else 0
+    j = 0
     for k in range(1, cap + 1):
-        rep = representable(k * w, p, q)
-        if rep is not None:
-            return k, rep
+        j += step
+        if j >= p:
+            j -= p
+        if j * q <= k * w:
+            return k, ((k * w - j * q) // p, j)
     raise AssertionError(f"no multiple of {w} representable by ({p}, {q})")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .criteria import EuReport, GkReport, InternalConsistencyError, check_eu, check_gk
-from .lattice import DeltaRegion, LatticePoint, enumerate_points
+from .lattice import DeltaRegion, LatticePoint, count_points, enumerate_points
 from .linalg import QMatrix
 from .presentation import (
     AssumptionReport,
@@ -128,9 +128,9 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     """
     if e < 1 or n < 0:
         raise ValueError("need e >= 1 and n >= 0")
-    points = enumerate_points(p, e)
     if n == 0:
-        return len(points)
+        return count_points(p, e)
+    points = enumerate_points(p, e)
     return len(points) - _scaled_system(points, n).rank()
 
 
@@ -205,7 +205,11 @@ def extract_witness(p: HerzogPresentation) -> WitnessElement:
     """
     _require_assumptions(p)
     points = enumerate_points(p, 1)
-    matrix = _scaled_system(points, p.u)
+    return _witness_from_system(p, points, _scaled_system(points, p.u))
+
+
+def _witness_from_system(p: HerzogPresentation, points, matrix: QMatrix) -> WitnessElement:
+    # points and matrix are the (e=1, n=u) system of p, built by the caller
     j = points.index(LatticePoint(0, 0))
     for vec in matrix.null_space():
         if vec[j] != 0:
@@ -326,7 +330,7 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:
         raise InternalConsistencyError(f"GK holds but witness found on {triple}")
-    witness = extract_witness(pres) if (want_witness and exists) else None
+    witness = _witness_from_system(pres, points, matrix) if (want_witness and exists) else None
     return Verdict(
         triple=triple,
         presentation=pres,

@@ -1,16 +1,22 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symrees.lattice import (
     DeltaRegion,
     LatticePoint,
     column_counts,
     compute_nm,
+    count_points,
     enumerate_points,
     interval_lattice_count,
 )
-from symrees.presentation import CurveTriple, compute_presentation
+from symrees.presentation import CurveTriple, NotThreeGeneratedError, compute_presentation
+from symrees.scan import ScanJob, iter_triples
 
 
 def pres(a, b, c):
@@ -131,8 +137,49 @@ def test_column_bounds_match_exact_boundary_arithmetic(validated_30):
         for e in (1, 2):
             region = DeltaRegion(p, e)
             points = enumerate_points(p, e)
+            assert count_points(p, e) == len(points), (p.triple, e)
             for alpha in range(e * p.u + 1):
                 lo, hi = region.beta_range(alpha)
                 betas = sorted(pt.beta for pt in points if pt.alpha == alpha)
                 expected = list(range(math.ceil(lo), math.floor(hi) + 1))
                 assert betas == expected, (p.triple, e, alpha)
+
+
+def tallied_column_counts(p):
+    """Oracle for column_counts: per-column tally of the enumerated points."""
+    tally = Counter(pt.alpha for pt in enumerate_points(p, 1))
+    return tuple(tally[alpha] for alpha in range(1, p.u + 1))
+
+
+def test_column_counts_match_enumeration_up_to_40():
+    # every three-generated triple, inapplicable ones included
+    checked = 0
+    for triple in iter_triples(ScanJob.upto(40)):
+        try:
+            p = pres(*triple)
+        except NotThreeGeneratedError:
+            continue
+        assert column_counts(p) == tallied_column_counts(p), triple
+        checked += 1
+    assert checked > 10000
+
+
+def next_coprime(n, m):
+    """Least integer >= m that is coprime to n."""
+    while math.gcd(n, m) > 1:
+        m += 1
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**4), st.integers(2, 10**4), st.integers(2, 10**4))
+def test_column_counts_match_enumeration_property(a, b, c):
+    b = next_coprime(a, b)
+    c = next_coprime(a * b, c)
+    try:
+        p = pres(a, b, c)
+    except NotThreeGeneratedError:
+        assume(False)
+    # twice the area of D is a*(u*s2 + u2*s3)/c; skip triangles beyond ~10^5 points
+    assume(p.a * (p.u * p.s2 + p.u2 * p.s3) <= 2 * 10**5 * p.c)
+    assert column_counts(p) == tallied_column_counts(p)

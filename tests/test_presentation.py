@@ -8,7 +8,9 @@ from symrees.presentation import (
     negative_curve_condition,
     representable,
     validate_assumptions,
+    _minimal_multiple,
 )
+from symrees.scan import ScanJob, iter_triples
 
 
 def scan_representable(M, p, q):
@@ -29,6 +31,22 @@ def test_representable_matches_scan():
     for M in range(1, 400):
         for p, q in [(8, 9), (19, 9), (25, 29), (7, 3), (1, 5)]:
             assert representable(M, p, q) == scan_representable(M, p, q), (M, p, q)
+
+
+def minimal_multiple_by_scan(w, p, q):
+    """Per-k search with representable(), the oracle for _minimal_multiple()."""
+    cap = max(1, (p * q - p - q) // w + 1)
+    for k in range(1, cap + 1):
+        rep = representable(k * w, p, q)
+        if rep is not None:
+            return k, rep
+    raise AssertionError(f"no multiple of {w} representable by ({p}, {q})")
+
+
+def test_minimal_multiple_matches_per_k_search():
+    for a, b, c in iter_triples(ScanJob.upto(60)):
+        for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+            assert _minimal_multiple(w, p, q) == minimal_multiple_by_scan(w, p, q), (w, p, q)
 
 
 KNOWN_PRESENTATIONS = {

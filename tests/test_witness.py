@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import symrees.lattice
+import symrees.witness
 from symrees.lattice import LatticePoint, enumerate_points
 from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, compute_presentation
@@ -272,6 +275,45 @@ def test_classify_with_witness_round_trip():
     assert v.witness.coefficients[LatticePoint(0, 0)] == 1
     v2 = classify(CurveTriple(8, 19, 9))
     assert v2.witness is None
+
+
+def test_classify_inapplicable_builds_no_point(monkeypatch):
+    # 714,257,142 lattice points: building them would exhaust memory, so the
+    # verdict must come from the column bounds alone
+    def no_points(*args):
+        raise AssertionError("lattice point built for an inapplicable triple")
+
+    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.lattice, "LatticePoint", no_points)
+    v = classify(CurveTriple(99991, 100003, 7))
+    assert v.noetherian is None
+    assert v.reason == "u^2*c < a*b fails: the candidate generator is not a negative curve"
+    assert v.presentation.u == 42855
+    assert sum(v.eu.ell) == 714257141
+
+
+def counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
+    # the witness comes from the points and system the verdict was decided on
+    sample = validated_30[::9]
+    calls = Counter()
+    for name in ("enumerate_points", "_scaled_system"):
+        original = getattr(symrees.witness, name)
+        monkeypatch.setattr(symrees.witness, name, counting(calls, name, original))
+    verdicts = [classify(p.triple, want_witness=True) for p in sample]
+    assert calls == {"enumerate_points": len(sample), "_scaled_system": len(sample)}
+    monkeypatch.undo()
+    with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
+    assert with_witness
+    for p, v in with_witness:
+        assert v.witness == extract_witness(p), p.triple
 
 
 def test_verdicts_match_criteria_on_validated_pool(validated_30):
