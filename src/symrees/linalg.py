@@ -2,14 +2,19 @@
 
 All computations here are over the rationals (Python ``int`` and
 ``fractions.Fraction``), with no floating point anywhere: the verdicts built
-on top of this module are exact yes/no statements.  Rank and row-space
-membership use fraction-free Bareiss elimination on integer-cleared rows;
-null spaces come from a plain reduced row echelon form over ``Fraction``.
+on top of this module are exact yes/no statements.  There is one elimination
+routine, ``_echelon``: fraction-free Bareiss elimination on integer-cleared
+rows, optionally carrying a guard row that is never a pivot.  Rank,
+row-space membership (the guard reduces to zero) and kernel vectors (one
+exact back-substitution per free column) are all read from its echelon form.
+The pivot columns of any echelon form are those of the unique reduced row
+echelon form, so the kernel basis read here is the canonical one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,42 +50,90 @@ def _row_to_ints(row: Sequence[Rat]) -> list[int]:
     return [int(x * scale) for x in row]
 
 
-def _bareiss_rank(rows: list[list[int]], ncols: int, guard: int | None = None) -> tuple[int, bool]:
-    """Fraction-free elimination; returns (rank, guard_row_reduced_to_zero).
+@dataclass(frozen=True)
+class Echelon:
+    """A fraction-free row echelon form U of a matrix, with its pivot columns.
 
-    ``guard`` marks one row that is never chosen as a pivot; on return the
-    second component tells whether that row was annihilated by the others,
-    i.e. whether it lies in their row space.  Entries stay integral: each
-    update is (p*a - q*b) // prev_pivot with exact division (the entries are
-    minors of the input matrix).
+    ``rows`` are the nonzero rows of U: integer rows spanning the row space
+    of the input, row k zero before column ``pivots[k]``.  The pivot columns
+    of any echelon form are those of the reduced row echelon form (RREF), so
+    rank and free columns are read off here.  ``guard`` is the guard row
+    reduced against U (None when no guard was carried): a nonzero multiple of
+    the guard minus its part in the row space.  Entries at free columns left
+    of the last pivot are not rescaled, so only their zero pattern counts.
+    """
+
+    rows: list[list[int]]
+    pivots: list[int]
+    guard: list[int] | None
+    cols: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel_vector(self, fc: int) -> list[int]:
+        """Integer multiple of the canonical kernel vector of free column fc.
+
+        The canonical vector is 1 at fc, 0 at the other free columns, and
+        solves U_P x_P = -U[:, fc] on the pivot columns P.  Scaled by the last
+        pivot (a maximal minor), it is integral, so back-substitution divides
+        exactly.  Entries are Python ints whatever the elimination backend.
+        """
+        if fc in self.pivots:
+            raise ValueError("column is not free")
+        scale = self.rows[-1][self.pivots[-1]] if self.rows else 1
+        x = [0] * self.cols
+        x[fc] = scale
+        for k in range(len(self.pivots) - 1, -1, -1):
+            row = self.rows[k]
+            total = row[fc] * scale
+            for pc in self.pivots[k + 1:]:
+                if x[pc]:
+                    total += row[pc] * x[pc]
+            quot, rem = divmod(-total, row[self.pivots[k]])
+            if rem:
+                raise ArithmeticError("back-substitution division failed")
+            x[self.pivots[k]] = quot
+        return [int(v) for v in x]
+
+
+def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) -> Echelon:
+    """Bareiss fraction-free elimination of integer rows to an Echelon.
+
+    Pivot: the smallest nonzero magnitude in the column.  Entries stay
+    integral: each update is (p*a - q*b) // prev_pivot with exact division
+    (the entries are minors of the input matrix).  ``guard`` is one more row
+    that is never chosen as a pivot but is reduced with the others; it ends
+    up zero exactly when it lies in their row space.
     """
     rows = [[_mpz(x) for x in row] for row in rows]
-    nrows = len(rows)
-    live = [i for i in range(nrows) if i != guard]
+    if guard is not None:
+        guard = [_mpz(x) for x in guard]
+    pivots: list[int] = []
     prev = _mpz(1)
     rank = 0
     col = 0
-    while col < ncols and rank < len(live):
+    while col < ncols and rank < len(rows):
         # pivot: smallest nonzero magnitude in the column
         pivot_at = -1
         best = None
-        for idx in range(rank, len(live)):
-            v = rows[live[idx]][col]
+        for idx in range(rank, len(rows)):
+            v = rows[idx][col]
             if v != 0 and (best is None or abs(v) < best):
                 best = abs(v)
                 pivot_at = idx
         if pivot_at < 0:
             col += 1
             continue
-        live[rank], live[pivot_at] = live[pivot_at], live[rank]
-        pr = rows[live[rank]]
+        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
+        pr = rows[rank]
         p = pr[col]
-        targets = [live[i] for i in range(rank + 1, len(live))]
+        targets = rows[rank + 1:]
         if guard is not None:
             targets.append(guard)
         pr_tail = pr[col:]
-        for i in targets:
-            ri = rows[i]
+        for ri in targets:
             q = ri[col]
             if q == 0:
                 if p != prev:
@@ -90,10 +143,10 @@ def _bareiss_rank(rows: list[list[int]], ncols: int, guard: int | None = None) -
             else:
                 ri[col:] = [(p * x - q * y) // prev for x, y in zip(ri[col:], pr_tail)]
         prev = p
+        pivots.append(col)
         rank += 1
         col += 1
-    guard_zero = guard is not None and all(x == 0 for x in rows[guard])
-    return rank, guard_zero
+    return Echelon(rows=rows[:rank], pivots=pivots, guard=guard, cols=ncols)
 
 
 class QMatrix:
@@ -122,13 +175,19 @@ class QMatrix:
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
+    def echelon(self, guard: Sequence[Rat] | None = None) -> Echelon:
+        """One fraction-free elimination of the rows, carrying ``guard``.
+
+        Rows are cleared of denominators (row scaling changes neither the
+        row space nor the kernel) and zero rows are dropped first.
+        """
+        if guard is not None and len(guard) != self.cols:
+            raise ValueError("length mismatch")
+        rows = [r for r in map(_row_to_ints, self.entries) if any(r)]
+        return _echelon(rows, self.cols, None if guard is None else _row_to_ints(guard))
+
     def rank(self) -> int:
-        rows = [_row_to_ints(r) for r in self.entries]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return 0
-        rank, _ = _bareiss_rank(rows, self.cols)
-        return rank
+        return self.echelon().rank
 
     def rank_and_row_space_contains(self, v: Sequence[Rat]) -> tuple[int, bool]:
         """(rank of the matrix, whether v lies in its row space), one pass.
@@ -137,110 +196,12 @@ class QMatrix:
         being chosen as a pivot; it ends up zero exactly when it is a
         combination of the matrix rows.
         """
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        rows = [_row_to_ints(r) for r in self.entries]
-        rows = [r for r in rows if any(r)]
-        guard = _row_to_ints(v)
-        if not any(guard):
-            return (0 if not rows else _bareiss_rank(rows, self.cols)[0]), True
-        rows.append(guard)
-        return _bareiss_rank(rows, self.cols, guard=len(rows) - 1)
+        reduced = self.echelon(guard=v)
+        return reduced.rank, not any(reduced.guard)
 
     def row_space_contains(self, v: Sequence[Rat]) -> bool:
         """True iff v is a rational linear combination of the rows."""
         return self.rank_and_row_space_contains(v)[1]
-
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form over Fraction; returns (rows, pivot cols).
-
-        Reference implementation (the RREF of a matrix is unique, so this is
-        the oracle for the fraction-free variant below).  Pivot choice:
-        largest |numerator * denominator| in the column.
-        """
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            best, best_size = -1, None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    size = abs(m[i][c].numerator * m[i][c].denominator)
-                    if best_size is None or size > best_size:
-                        best, best_size = i, size
-            if best < 0:
-                continue
-            m[r], m[best] = m[best], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
-
-    def _rref_fraction_free(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Same (rows, pivots) as rref(), via integer Gauss-Jordan.
-
-        One-step fraction-free Jordan elimination: every update divides by
-        the previous pivot, exactly; a nonzero remainder would mean a logic
-        error, so the division is checked.  Rows are normalized to leading 1
-        only at the end.
-        """
-        m = [[_mpz(x) for x in _row_to_ints(row)] for row in self.entries]
-        nrows = len(m)
-        pivots: list[int] = []
-        prev = _mpz(1)
-        r = 0
-        for c in range(self.cols):
-            pivot_at = -1
-            best = None
-            for i in range(r, nrows):
-                v = m[i][c]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot_at = i
-            if pivot_at < 0:
-                continue
-            m[r], m[pivot_at] = m[pivot_at], m[r]
-            pr = m[r]
-            p = pr[c]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                ri = m[i]
-                q = ri[c]
-                if q == 0:
-                    if p != prev:
-                        for j in range(self.cols):
-                            num = p * ri[j]
-                            quot, rem = divmod(num, prev)
-                            if rem:
-                                raise ArithmeticError("fraction-free division failed")
-                            ri[j] = quot
-                else:
-                    for j in range(self.cols):
-                        num = p * ri[j] - q * pr[j]
-                        quot, rem = divmod(num, prev)
-                        if rem:
-                            raise ArithmeticError("fraction-free division failed")
-                        ri[j] = quot
-            prev = p
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        reduced = []
-        for row_index, pc in enumerate(pivots):
-            lead = m[row_index][pc]
-            reduced.append([Fraction(int(x), int(lead)) for x in m[row_index]])
-        for row_index in range(len(pivots), nrows):
-            reduced.append([Fraction(0)] * self.cols)
-        return reduced, pivots
 
     def null_space(self) -> list[list[Fraction]]:
         """Basis of the exact kernel {x : Mx = 0}, one vector per free column.
@@ -250,21 +211,11 @@ class QMatrix:
         columns.  (This basis is canonical: it only depends on the RREF,
         which is unique.)
         """
-        if self.cols == 0:
-            return []
-        m, pivots = self._rref_fraction_free()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        reduced = self.echelon()
+        pivot_set = set(reduced.pivots)
         basis = []
-        for fc in free:
-            vec = [Fraction(0)] * self.cols
-            vec[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -m[r][fc]
-            basis.append(vec)
+        for fc in range(self.cols):
+            if fc not in pivot_set:
+                vec = reduced.kernel_vector(fc)
+                basis.append([Fraction(x, vec[fc]) for x in vec])
         return basis
-
-    def mul_vector(self, x: Sequence[Rat]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError("length mismatch")
-        return [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in self.entries]

@@ -158,16 +158,7 @@ def witness_system(p: HerzogPresentation, e: int = 1, n: int | None = None) -> D
 def huneke_witness_exists(p: HerzogPresentation) -> bool:
     """Does some element of the (e=1, n=u) kernel have nonzero (0,0) term?"""
     _require_assumptions(p)
-    points = enumerate_points(p, 1)
-    return not _constant_term_forced(_scaled_system(points, p.u), points)
-
-
-def _constant_term_forced(matrix: QMatrix, points) -> bool:
-    """True iff every kernel vector vanishes at the (0, 0) column."""
-    j = points.index(LatticePoint(0, 0))
-    unit = [0] * len(points)
-    unit[j] = 1
-    return matrix.row_space_contains(unit)
+    return _witness_test(p, want_witness=False)[2]
 
 
 @dataclass(frozen=True)
@@ -197,6 +188,29 @@ class WitnessElement:
         return out
 
 
+def _witness_test(p: HerzogPresentation, want_witness: bool):
+    """(point count, rank, witness exists, witness or None) for the (e=1, n=u) system.
+
+    One elimination decides everything.  The unit vector at (0, 0) is carried
+    as the guard row; it reduces to a multiple of e_j - R[r_j] (R the RREF,
+    j the (0, 0) column), whose entry at a free column is nonzero exactly
+    when that column's canonical kernel basis vector is nonzero at (0, 0).
+    So the constant term is forced to 0 iff the reduced guard vanishes, and
+    otherwise its first nonzero column gives the canonical witness.
+    """
+    points = enumerate_points(p, 1)
+    j = points.index(LatticePoint(0, 0))
+    unit = [0] * len(points)
+    unit[j] = 1
+    reduced = _scaled_system(points, p.u).echelon(guard=unit)
+    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
+    if fc is None or not want_witness:
+        return len(points), reduced.rank, fc is not None, None
+    vec = reduced.kernel_vector(fc)
+    coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
+    return len(points), reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
+
+
 def extract_witness(p: HerzogPresentation) -> WitnessElement:
     """Deterministic witness with coefficient 1 at (0, 0).
 
@@ -204,23 +218,10 @@ def extract_witness(p: HerzogPresentation) -> WitnessElement:
     with nonzero constant coordinate and rescales it.
     """
     _require_assumptions(p)
-    points = enumerate_points(p, 1)
-    return _witness_from_system(p, points, _scaled_system(points, p.u))
-
-
-def _witness_from_system(p: HerzogPresentation, points, matrix: QMatrix) -> WitnessElement:
-    # points and matrix are the (e=1, n=u) system of p, built by the caller
-    j = points.index(LatticePoint(0, 0))
-    for vec in matrix.null_space():
-        if vec[j] != 0:
-            scale = 1 / vec[j]
-            coeffs = {
-                pt: value * scale
-                for pt, value in zip(points, vec)
-                if value != 0
-            }
-            return WitnessElement(coefficients=coeffs, e=1, n=p.u)
-    raise NoWitnessError(f"kernel of the witness system for {p.triple} forces the constant term")
+    witness = _witness_test(p, want_witness=True)[3]
+    if witness is None:
+        raise NoWitnessError(f"kernel of the witness system for {p.triple} forces the constant term")
+    return witness
 
 
 def shift_membership_test(coefficients: dict, n: int) -> bool:
@@ -229,7 +230,9 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     Multiplying by the units v, w does not change membership, so the support
     is first shifted to nonnegative exponents; then v -> 1+s, w -> 1+r is
     expanded by exact binomials and membership holds iff every coefficient
-    of total degree below n vanishes.
+    of total degree below n vanishes.  A nonzero scalar does not change
+    membership either, so the coefficients are cleared of denominators once
+    and the sums run over integers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -238,13 +241,16 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
         return True
     shift_a = max(0, -min(al for al, _, _ in terms))
     shift_b = max(0, -min(be for _, be, _ in terms))
+    scale = math.lcm(*(c.denominator for _, _, c in terms))
+    terms = [
+        (al + shift_a, be + shift_b, c.numerator * (scale // c.denominator))
+        for al, be, c in terms
+    ]
+    comb_b = {be: [math.comb(be, j) for j in range(n)] for _, be, _ in terms}
     for i in range(n):
+        weighted = [(c * math.comb(al, i), comb_b[be]) for al, be, c in terms]
         for j in range(n - i):
-            total = sum(
-                c * math.comb(al + shift_a, i) * math.comb(be + shift_b, j)
-                for al, be, c in terms
-            )
-            if total != 0:
+            if sum(w * row[j] for w, row in weighted) != 0:
                 return False
     return True
 
@@ -318,19 +324,11 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
             gk=gk,
         )
 
-    points = enumerate_points(pres, 1)
-    n_points = len(points)
-    matrix = _scaled_system(points, pres.u)
-    j = points.index(LatticePoint(0, 0))
-    unit = [0] * n_points
-    unit[j] = 1
-    rank, forced = matrix.rank_and_row_space_contains(unit)
-    exists = not forced
+    n_points, rank, exists, witness = _witness_test(pres, want_witness)
     if eu.holds and not exists:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:
         raise InternalConsistencyError(f"GK holds but witness found on {triple}")
-    witness = _witness_from_system(pres, points, matrix) if (want_witness and exists) else None
     return Verdict(
         triple=triple,
         presentation=pres,

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mul_vector, rref, rref_null_space
 from symrees.linalg import QMatrix, falling_factorial
 
 
@@ -81,7 +82,7 @@ def test_rank_nullity_and_kernel_exactness_random():
         basis = m.null_space()
         assert m.rank() + len(basis) == m.cols
         for vec in basis:
-            assert all(v == 0 for v in m.mul_vector(vec))
+            assert all(v == 0 for v in mul_vector(m, vec))
 
 
 def test_row_space_membership_matches_kernel_orthogonality():
@@ -93,21 +94,45 @@ def test_row_space_membership_matches_kernel_orthogonality():
         v = [rng.randint(-4, 4) for _ in range(cols)]
         via_rank = m.row_space_contains(v)
         via_kernel = all(
-            sum(Fraction(a) * b for a, b in zip(v, x)) == 0 for x in m.null_space()
+            sum(Fraction(a) * b for a, b in zip(v, x)) == 0 for x in rref_null_space(m)
         )
         assert via_rank == via_kernel
 
 
-def test_fraction_free_rref_matches_reference():
-    # RREF is unique, so both implementations must agree entry for entry
+def test_null_space_matches_rref_basis():
+    # the canonical basis is a function of the RREF, which is unique, so the
+    # back-substituted vectors must equal the oracle's entry for entry
     rng = random.Random(24005)
-    for _ in range(300):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = _random_matrix(rng, rows, cols, denom=True)
-        ref_rows, ref_pivots = m.rref()
-        ff_rows, ff_pivots = m._rref_fraction_free()
-        assert ff_pivots == ref_pivots
-        assert ff_rows == ref_rows
+    cases = [_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), denom=True) for _ in range(300)]
+    cases += [
+        QMatrix([[0, 0, 0]]),
+        QMatrix([[0, 0, 0], [0, 0, 0]]),
+        QMatrix([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]]),
+        QMatrix([[0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 1, 0]]),
+    ]
+    for _ in range(20):
+        cases.append(_random_matrix(rng, rng.randint(1, 3), rng.randint(7, 12), denom=True))  # wide
+        cases.append(_random_matrix(rng, rng.randint(7, 12), rng.randint(1, 3), denom=True))  # tall
+    for m in cases:
+        assert m.null_space() == rref_null_space(m), m.entries
+
+
+def test_reduced_unit_guard_marks_basis_vectors_nonzero_at_its_column():
+    # the unit row e_j reduces to a multiple of e_j - R[r_j]: nonzero at a
+    # free column exactly when that column's canonical basis vector is
+    # nonzero at j, which is how the witness column is chosen
+    rng = random.Random(24006)
+    for _ in range(150):
+        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), denom=True)
+        _, pivots = rref(m)
+        free = [c for c in range(m.cols) if c not in pivots]
+        basis = rref_null_space(m)
+        for j in range(m.cols):
+            unit = [0] * m.cols
+            unit[j] = 1
+            guard = m.echelon(guard=unit).guard
+            marked = [c for c in range(m.cols) if guard[c] != 0]
+            assert marked == [f for f, vec in zip(free, basis) if vec[j] != 0], (m.entries, j)
 
 
 def test_rank_matches_rref_pivot_count_random():
@@ -115,8 +140,9 @@ def test_rank_matches_rref_pivot_count_random():
     for _ in range(200):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols, denom=True)
-        _, pivots = m.rref()
+        _, pivots = rref(m)
         assert m.rank() == len(pivots)
+        assert m.echelon().pivots == pivots
 
 
 @settings(max_examples=60)

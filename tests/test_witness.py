@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import symrees.lattice
+import symrees.linalg
 import symrees.witness
+from oracles import mul_vector, rref_null_space, shift_membership_fraction
 from symrees.lattice import LatticePoint, enumerate_points
 from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, compute_presentation
@@ -69,7 +71,7 @@ def test_scaled_system_matches_spec_system(validated_30):
         fast_form = _scaled_system(points, p.u)
         assert spec_form.rank() == fast_form.rank()
         for vec in fast_form.null_space():
-            assert all(v == 0 for v in spec_form.mul_vector(vec))
+            assert all(v == 0 for v in mul_vector(spec_form, vec))
 
 
 def test_piece_dimension_values():
@@ -173,8 +175,33 @@ def test_oracle_agrees_with_matrix_on_random_instances():
             assert shift_membership_test(coeffs, n)
         # random vector: member iff annihilated by the constraint rows
         vec = [Fraction(rng.randint(-5, 5)) for _ in points]
-        is_member = all(v == 0 for v in system.base.mul_vector(vec))
+        is_member = all(v == 0 for v in mul_vector(system.base, vec))
         assert shift_membership_test(dict(zip(points, vec)), n) == is_member
+
+
+def test_integer_shift_oracle_matches_fraction_loop():
+    # clearing denominators once must not change any answer, members
+    # (kernel vectors) and non-members (perturbed or random vectors) alike
+    rng = random.Random(61003)
+    answers = Counter()
+    for _ in range(150):
+        points = _random_point_set(rng, max_size=12)
+        n = rng.randint(1, 5)
+        candidates = []
+        for vec in rref_null_space(build_matrix(points, n).base):
+            scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            candidates.append([x * scalar for x in vec])
+        for vec in list(candidates):
+            bumped = list(vec)
+            bumped[rng.randrange(len(bumped))] += Fraction(1, rng.randint(1, 7))
+            candidates.append(bumped)
+        candidates.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in points])
+        for vec in candidates:
+            coeffs = dict(zip(points, vec))
+            answer = shift_membership_test(coeffs, n)
+            assert answer == shift_membership_fraction(coeffs, n), (coeffs, n)
+            answers[answer] += 1
+    assert answers[True] > 50 and answers[False] > 50, answers
 
 
 def _random_staircase(rng, u):
@@ -225,6 +252,66 @@ def test_witness_decision_matches_direct_kernel_inspection(validated_30):
         j = points.index(LatticePoint(0, 0))
         direct = any(vec[j] != 0 for vec in system.base.null_space())
         assert huneke_witness_exists(p) == direct, p.triple
+
+
+def _oracle_witness(p):
+    # first RREF kernel basis vector nonzero at (0, 0), normalized there
+    points = enumerate_points(p, 1)
+    j = points.index(LatticePoint(0, 0))
+    basis = rref_null_space(_scaled_system(points, p.u))
+    for vec in basis:
+        if vec[j] != 0:
+            coeffs = {pt: x / vec[j] for pt, x in zip(points, vec) if x != 0}
+            return True, len(basis), coeffs
+    return False, len(basis), None
+
+
+def test_classify_witness_matches_rref_oracle(validated_30):
+    sample = validated_30[::5]
+    found = 0
+    for p in sample:
+        v = classify(p.triple, want_witness=True)
+        exists, dim, coeffs = _oracle_witness(p)
+        assert (v.witness_exists, v.dim_piece_u) == (exists, dim), p.triple
+        if exists:
+            assert list(v.witness.coefficients.items()) == list(coeffs.items()), p.triple
+            found += 1
+        else:
+            assert v.witness is None
+    assert 0 < found < len(sample)
+
+
+class _BoxedInt(int):
+    # stands in for gmpy2.mpz: arithmetic stays in the subclass, as it does
+    # for mpz, so any entry not converted back to int shows up in a Fraction
+    def _box(self, other, op):
+        result = op(int(self), int(other))
+        return _BoxedInt(result) if type(result) is int else result
+
+    __add__ = lambda s, o: s._box(o, int.__add__)
+    __radd__ = lambda s, o: s._box(o, int.__radd__)
+    __sub__ = lambda s, o: s._box(o, int.__sub__)
+    __rsub__ = lambda s, o: s._box(o, int.__rsub__)
+    __mul__ = lambda s, o: s._box(o, int.__mul__)
+    __rmul__ = lambda s, o: s._box(o, int.__rmul__)
+    __floordiv__ = lambda s, o: s._box(o, int.__floordiv__)
+    __divmod__ = lambda s, o: tuple(map(_BoxedInt, divmod(int(s), int(o))))
+    __neg__ = lambda s: _BoxedInt(-int(s))
+    __abs__ = lambda s: _BoxedInt(abs(int(s)))
+    numerator = property(lambda s: s)
+
+
+def test_witness_values_are_python_ints_under_any_backend(monkeypatch):
+    monkeypatch.setattr(symrees.linalg, "_mpz", _BoxedInt)
+    reduced = symrees.linalg.QMatrix([[2, 4, 1], [1, 3, 5]]).echelon()
+    assert all(type(x) is _BoxedInt for row in reduced.rows for x in row)
+    triples = [CurveTriple(8, 19, 9), CurveTriple(27, 23, 5), CurveTriple(26, 29, 5)]
+    boxed = [classify(t, want_witness=True).witness for t in triples]
+    for t, w in zip(triples, boxed):
+        for c in w.coefficients.values():
+            assert type(c.numerator) is int and type(c.denominator) is int, t
+    monkeypatch.undo()
+    assert boxed == [classify(t, want_witness=True).witness for t in triples]
 
 
 def test_classify_worked_examples():
@@ -304,11 +391,12 @@ def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
     # the witness comes from the points and system the verdict was decided on
     sample = validated_30[::9]
     calls = Counter()
-    for name in ("enumerate_points", "_scaled_system"):
-        original = getattr(symrees.witness, name)
-        monkeypatch.setattr(symrees.witness, name, counting(calls, name, original))
+    for module, name in [(symrees.witness, "enumerate_points"), (symrees.witness, "_scaled_system"),
+                         (symrees.linalg, "_echelon")]:
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     verdicts = [classify(p.triple, want_witness=True) for p in sample]
-    assert calls == {"enumerate_points": len(sample), "_scaled_system": len(sample)}
+    n = len(sample)
+    assert calls == {"enumerate_points": n, "_scaled_system": n, "_echelon": n}
     monkeypatch.undo()
     with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
     assert with_witness
