@@ -33,7 +33,6 @@ from .criteria import (  # noqa: F401
 from .witness import (  # noqa: F401
     Verdict,
     WitnessElement,
-    build_matrix,
     classify,
     extract_witness,
     huneke_witness_exists,

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .lattice import column_counts, compute_nm, interval_lattice_count
+from .lattice import column_counts, compute_nm, interval_count
 from .presentation import HerzogPresentation
 
 
@@ -66,16 +65,12 @@ class GkReport:
 
 def _right_count(p: HerzogPresentation, scale: int) -> int:
     # integers in scale * [u2/u, t/t3]
-    return interval_lattice_count(
-        scale * Fraction(p.u2, p.u), scale * Fraction(p.t, p.t3)
-    )
+    return interval_count(scale * p.u2, p.u, scale * p.t, p.t3)
 
 
 def _left_count(p: HerzogPresentation, scale: int) -> int:
     # integers in scale * [-s2/s3, u2/u]
-    return interval_lattice_count(
-        scale * Fraction(-p.s2, p.s3), scale * Fraction(p.u2, p.u)
-    )
+    return interval_count(-scale * p.s2, p.s3, scale * p.u2, p.u)
 
 
 def check_gk_definition(p: HerzogPresentation) -> GkReport:

@@ -16,12 +16,12 @@ Those integer column bounds come from one helper, `_column_bounds`.  The
 column counts behind the EU criterion and the point totals read them
 directly, in O(u) work with no point built, so an inapplicable triple costs
 O(u) rather than the area of D; only the derivative systems enumerate
-points.  Nothing is cached at module level.
+points.  The slope-interval counts behind GK come from one integer helper,
+`interval_count`.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -145,11 +145,19 @@ def column_counts(p: HerzogPresentation) -> tuple[int, ...]:
     return tuple(max(0, b_hi - b_lo + 1) for b_lo, b_hi in bounds)
 
 
+def interval_count(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> int:
+    """Number of integers in [lo_num/lo_den, hi_num/hi_den] (0 if empty).
+
+    Denominators must be positive; one floor and one ceiling by integer
+    division, no Fraction built.
+    """
+    return max(0, hi_num // hi_den + (-lo_num) // lo_den + 1)
+
+
 def interval_lattice_count(lo: Fraction, hi: Fraction) -> int:
     """Number of integers in the closed interval [lo, hi] (0 if empty)."""
-    if hi < lo:
-        return 0
-    return max(0, math.floor(hi) - math.ceil(lo) + 1)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return interval_count(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def compute_nm(p: HerzogPresentation) -> tuple[int, int]:
@@ -158,10 +166,7 @@ def compute_nm(p: HerzogPresentation) -> tuple[int, int]:
     n counts [-s2/s3, u2/u] and m counts [u2/u, t/t3]; both are >= 1 since
     the first interval contains 0 and the second contains 1.
     """
-    lower_left = Fraction(-p.s2, p.s3)
-    upper = Fraction(p.u2, p.u)
-    lower_right = Fraction(p.t, p.t3)
     return (
-        interval_lattice_count(lower_left, upper),
-        interval_lattice_count(upper, lower_right),
+        interval_count(-p.s2, p.s3, p.u2, p.u),
+        interval_count(p.u2, p.u, p.t, p.t3),
     )

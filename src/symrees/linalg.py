@@ -26,21 +26,6 @@ except ImportError:  # pragma: no cover
 Rat = int | Fraction
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """Return n(n-1)...(n-k+1), the k-th falling factorial at n.
-
-    Defined for any integer n (negative included) and k >= 0; the empty
-    product (k = 0) is 1.  This is the value of the k-th derivative of
-    v**n at v = 1, divided by nothing: d^k/dv^k v^n |_{v=1}.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def _row_to_ints(row: Sequence[Rat]) -> list[int]:
     """Clear denominators of one row (rank is invariant under row scaling)."""
     denoms = [x.denominator for x in row if type(x) is not int]

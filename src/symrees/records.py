@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
@@ -79,11 +79,35 @@ def from_verdict(v: Verdict, timing_ms: float | None = None) -> VerdictRecord:
     )
 
 
+def _copy(data: dict[str, Any] | None) -> dict[str, Any] | None:
+    return None if data is None else dict(data)
+
+
 def to_dict(record: VerdictRecord, *, with_timing: bool = True) -> dict[str, Any]:
-    data = asdict(record)
-    data["triple"] = list(record.triple)
-    if not with_timing:
-        del data["timing_ms"]
+    """JSON-ready dict of a record: the fields in declaration order.
+
+    ``timing_ms`` is left out when ``with_timing`` is False.  The nested
+    dicts and the ``ell`` lists are copied, so changing the result leaves
+    the record as it was; their values are ints, bools, strings or None.
+    """
+    eu = record.eu
+    if eu is not None:
+        eu = {**eu, "ell": list(eu["ell"]), "ell_sorted": list(eu["ell_sorted"])}
+    data = {
+        "triple": list(record.triple),
+        "presentation": _copy(record.presentation),
+        "assumptions": _copy(record.assumptions),
+        "eu": eu,
+        "gk": _copy(record.gk),
+        "witness_exists": record.witness_exists,
+        "noetherian": record.noetherian,
+        "reason": record.reason,
+        "points": record.points,
+        "dim_piece_u": record.dim_piece_u,
+    }
+    if with_timing:
+        data["timing_ms"] = record.timing_ms
+    data["version"] = record.version
     return data
 
 

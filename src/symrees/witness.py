@@ -5,7 +5,9 @@ In characteristic 0 a Laurent polynomial phi(v, w) lies in the ideal
 (1, 1).  On the span of the triangle's lattice points this is a linear
 system with one row per derivative order (k, l), k + l < n, and entries
 ff(alpha, k) * ff(beta, l) (falling factorials).  The graded piece of the
-n-th symbolic power in degree e*a*b is its kernel.
+n-th symbolic power in degree e*a*b is its kernel.  The package builds it
+with each (k, l) row divided by k! l!, which changes neither the kernel nor
+the row space.
 
 The classification question reduces to: does the kernel of the (e=1, n=u)
 system contain a vector with nonzero coordinate at (0, 0)?  Equivalently,
@@ -50,28 +52,6 @@ def derivative_orders(n: int) -> list[tuple[int, int]]:
     return [(total - l, l) for total in range(n) for l in range(total + 1)]
 
 
-@dataclass(frozen=True)
-class DerivativeMatrix:
-    """Constraint system: rows = derivative orders, columns = lattice points."""
-
-    base: QMatrix
-    points: tuple[LatticePoint, ...]
-    orders: tuple[tuple[int, int], ...]
-    n: int
-    e: int
-
-
-def _ff_table(values: set[int], n: int) -> dict[int, list[int]]:
-    # falling factorials ff(v, 0..n-1) per distinct coordinate value
-    table = {}
-    for v in values:
-        row = [1]
-        for k in range(1, n):
-            row.append(row[-1] * (v - k + 1))
-        table[v] = row
-    return table
-
-
 def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     # binomials C(v, 0..n-1) for arbitrary integer v: ff(v, k) / k!
     table = {}
@@ -99,27 +79,6 @@ def _scaled_system(points, n: int) -> QMatrix:
     return QMatrix(entries, col_labels=list(points))
 
 
-def build_matrix(points: list[LatticePoint], n: int, e: int = 1) -> DerivativeMatrix:
-    if n < 1:
-        raise ValueError("derivative order bound n must be >= 1")
-    if not points or len(set(points)) != len(points):
-        raise ValueError("points must be nonempty and distinct")
-    orders = derivative_orders(n)
-    ff_a = _ff_table({al for al, _ in points}, n)
-    ff_b = _ff_table({be for _, be in points}, n)
-    entries = [
-        [ff_a[al][k] * ff_b[be][l] for (al, be) in points]
-        for (k, l) in orders
-    ]
-    return DerivativeMatrix(
-        base=QMatrix(entries, col_labels=list(points)),
-        points=tuple(points),
-        orders=tuple(orders),
-        n=n,
-        e=e,
-    )
-
-
 def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     """dim of the degree-(e*a*b) piece of the n-th symbolic power.
 
@@ -142,17 +101,6 @@ def _require_assumptions(p: HerzogPresentation) -> AssumptionReport:
             f"negative_curve={report.negative_curve_iii}"
         )
     return report
-
-
-def witness_system(p: HerzogPresentation, e: int = 1, n: int | None = None) -> DerivativeMatrix:
-    """The constraint system deciding the witness question at scale e.
-
-    Defaults to the decisive case e = 1, n = u; other (e, n) are an
-    exploratory mode (no automatic scale threshold is known).
-    """
-    if n is None:
-        n = p.u * e
-    return build_matrix(enumerate_points(p, e), n, e)
 
 
 def huneke_witness_exists(p: HerzogPresentation) -> bool:

@@ -2,14 +2,21 @@
 
 Each one is the straightforward route the package's faster code must agree
 with: a Fraction reduced row echelon form (unique, so it pins down ranks,
-pivots and the canonical kernel basis), matrix-vector products, and the
-shift-substitution membership test with Fraction coefficients.
+pivots and the canonical kernel basis), matrix-vector products, the
+shift-substitution membership test with Fraction coefficients, the
+derivative system in its falling-factorial (spec) form, the GK interval
+counts in Fraction arithmetic, and the ``dataclasses.asdict`` record encoding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+
+from symrees.lattice import LatticePoint, enumerate_points
+from symrees.linalg import QMatrix
+from symrees.witness import derivative_orders
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -82,3 +89,100 @@ def shift_membership_fraction(coefficients: dict, n: int) -> bool:
             if total != 0:
                 return False
     return True
+
+
+def falling_factorial(n: int, k: int) -> int:
+    """Return n(n-1)...(n-k+1), the k-th falling factorial at n.
+
+    Defined for any integer n (negative included) and k >= 0; the empty
+    product (k = 0) is 1.  This is the value of the k-th derivative of
+    v**n at v = 1, divided by nothing: d^k/dv^k v^n |_{v=1}.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+@dataclass(frozen=True)
+class DerivativeMatrix:
+    """Constraint system: rows = derivative orders, columns = lattice points."""
+
+    base: QMatrix
+    points: tuple[LatticePoint, ...]
+    orders: tuple[tuple[int, int], ...]
+    n: int
+    e: int
+
+
+def _ff_table(values: set[int], n: int) -> dict[int, list[int]]:
+    # falling factorials ff(v, 0..n-1) per distinct coordinate value
+    table = {}
+    for v in values:
+        row = [1]
+        for k in range(1, n):
+            row.append(row[-1] * (v - k + 1))
+        table[v] = row
+    return table
+
+
+def build_matrix(points: list[LatticePoint], n: int, e: int = 1) -> DerivativeMatrix:
+    """The spec form of the derivative system: entry ff(alpha, k) * ff(beta, l)."""
+    if n < 1:
+        raise ValueError("derivative order bound n must be >= 1")
+    if not points or len(set(points)) != len(points):
+        raise ValueError("points must be nonempty and distinct")
+    orders = derivative_orders(n)
+    ff_a = _ff_table({al for al, _ in points}, n)
+    ff_b = _ff_table({be for _, be in points}, n)
+    entries = [
+        [ff_a[al][k] * ff_b[be][l] for (al, be) in points]
+        for (k, l) in orders
+    ]
+    return DerivativeMatrix(
+        base=QMatrix(entries, col_labels=list(points)),
+        points=tuple(points),
+        orders=tuple(orders),
+        n=n,
+        e=e,
+    )
+
+
+def witness_system(p, e: int = 1, n: int | None = None) -> DerivativeMatrix:
+    """Spec-form system of p at scale e; n defaults to the decisive u * e."""
+    if n is None:
+        n = p.u * e
+    return build_matrix(enumerate_points(p, e), n, e)
+
+
+def fraction_interval_count(lo: Fraction, hi: Fraction) -> int:
+    """Integers in the closed interval [lo, hi] by Fraction floor and ceiling."""
+    if hi < lo:
+        return 0
+    return max(0, math.floor(hi) - math.ceil(lo) + 1)
+
+
+def fraction_right_count(p, scale: int) -> int:
+    """Integers in scale * [u2/u, t/t3]."""
+    return fraction_interval_count(scale * Fraction(p.u2, p.u), scale * Fraction(p.t, p.t3))
+
+
+def fraction_left_count(p, scale: int) -> int:
+    """Integers in scale * [-s2/s3, u2/u]."""
+    return fraction_interval_count(scale * Fraction(-p.s2, p.s3), scale * Fraction(p.u2, p.u))
+
+
+def fraction_nm(p) -> tuple[int, int]:
+    """(n, m): the unscaled left and right counts."""
+    return fraction_left_count(p, 1), fraction_right_count(p, 1)
+
+
+def asdict_record(record, *, with_timing: bool = True) -> dict:
+    """A VerdictRecord encoded by ``dataclasses.asdict`` (a deep copy)."""
+    data = asdict(record)
+    data["triple"] = list(record.triple)
+    if not with_timing:
+        del data["timing_ms"]
+    return data

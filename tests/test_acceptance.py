@@ -22,10 +22,10 @@ from symrees.polynomials import (
     third_power_slice_ideal,
     verify_family_report,
 )
-from oracles import mul_vector
+from oracles import build_matrix, mul_vector
 from symrees.presentation import CurveTriple
 from symrees.scan import ScanJob, run_scan
-from symrees.witness import build_matrix, classify, shift_membership_test
+from symrees.witness import classify, shift_membership_test
 
 
 def _timed(fn):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_left_count, fraction_nm, fraction_right_count
+from symrees.criteria import _left_count, _right_count
 from symrees.lattice import (
     DeltaRegion,
     LatticePoint,
@@ -183,3 +185,35 @@ def test_column_counts_match_enumeration_property(a, b, c):
     # twice the area of D is a*(u*s2 + u2*s3)/c; skip triangles beyond ~10^5 points
     assume(p.a * (p.u * p.s2 + p.u2 * p.s3) <= 2 * 10**5 * p.c)
     assert column_counts(p) == tallied_column_counts(p)
+
+
+def assert_integer_gk_counts_match_fractions(p):
+    assert compute_nm(p) == fraction_nm(p), p.triple
+    for scale in range(p.u + 1):
+        assert _right_count(p, scale) == fraction_right_count(p, scale), (p.triple, scale)
+        assert _left_count(p, scale) == fraction_left_count(p, scale), (p.triple, scale)
+
+
+def test_integer_gk_counts_match_fractions_up_to_40():
+    # every three-generated triple, inapplicable ones included
+    checked = 0
+    for triple in iter_triples(ScanJob.upto(40)):
+        try:
+            p = pres(*triple)
+        except NotThreeGeneratedError:
+            continue
+        assert_integer_gk_counts_match_fractions(p)
+        checked += 1
+    assert checked > 10000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**4), st.integers(2, 10**4), st.integers(2, 10**4))
+def test_integer_gk_counts_match_fractions_property(a, b, c):
+    b = next_coprime(a, b)
+    c = next_coprime(a * b, c)
+    try:
+        p = pres(a, b, c)
+    except NotThreeGeneratedError:
+        assume(False)
+    assert_integer_gk_counts_match_fractions(p)

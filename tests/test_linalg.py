@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mul_vector, rref, rref_null_space
-from symrees.linalg import QMatrix, falling_factorial
+from oracles import falling_factorial, mul_vector, rref, rref_null_space
+from symrees.linalg import QMatrix
 
 
 def test_falling_factorial_base_cases():

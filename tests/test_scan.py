@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from symrees.records import to_dict
 from symrees.scan import ScanJob, classify_one, iter_triples, run_scan
+
+SCAN_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "scan_dense.json"
 
 
 def test_iter_triples_lexicographic_and_coprime():
@@ -68,3 +74,17 @@ def test_record_invariant_checker_aborts_on_violations():
     )
     with pytest.raises(InternalConsistencyError):
         _check_record_invariants(bad_gk)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_bytes_match_recorded_digest(jobs):
+    # the JSON-lines encoding of the bound-12 table, as `symrees scan` writes it
+    recorded = json.loads(SCAN_DIGESTS.read_text())["bounds"]["12"]
+    digest = hashlib.sha256()
+    size = 0
+    for record in run_scan(ScanJob.upto(12, jobs=jobs)):
+        line = (json.dumps(to_dict(record, with_timing=False)) + "\n").encode()
+        digest.update(line)
+        size += len(line)
+    assert size == recorded["bytes"]
+    assert digest.hexdigest() == recorded["sha256"]

@@ -7,7 +7,13 @@ import pytest
 import symrees.lattice
 import symrees.linalg
 import symrees.witness
-from oracles import mul_vector, rref_null_space, shift_membership_fraction
+from oracles import (
+    build_matrix,
+    mul_vector,
+    rref_null_space,
+    shift_membership_fraction,
+    witness_system,
+)
 from symrees.lattice import LatticePoint, enumerate_points
 from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, compute_presentation
@@ -15,14 +21,12 @@ from symrees.witness import (
     AssumptionViolationError,
     NoWitnessError,
     Verdict,
-    build_matrix,
     classify,
     derivative_orders,
     extract_witness,
     huneke_witness_exists,
     piece_dimension,
     shift_membership_test,
-    witness_system,
     _scaled_system,
 )
 
