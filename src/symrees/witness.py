@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .criteria import EuReport, GkReport, InternalConsistencyError, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, count_points, enumerate_points
-from .linalg import QMatrix
+from .linalg import QMatrix, _echelon
 from .presentation import (
     AssumptionReport,
     CurveTriple,
@@ -63,20 +63,24 @@ def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     return table
 
 
-def _scaled_system(points, n: int) -> QMatrix:
-    """Row-rescaled constraint system: entry C(alpha, k) * C(beta, l).
+def _scaled_rows(points, n: int) -> list[list[int]]:
+    """Nonzero rows of the row-rescaled constraint system, as fresh int lists.
 
-    Dividing the (k, l) row by k! l! leaves rank, kernel and row space
-    unchanged but keeps the elimination entries much smaller; all decisions
-    (witness existence, piece dimensions, witness extraction) use this form.
+    Entry C(alpha, k) * C(beta, l): dividing the (k, l) row by k! l! leaves
+    rank, kernel and row space unchanged but keeps the elimination entries
+    much smaller; all decisions (witness existence, piece dimensions, witness
+    extraction) use this form.  All-zero rows are dropped.
     """
     binom_a = _binom_table({al for al, _ in points}, n)
     binom_b = _binom_table({be for _, be in points}, n)
-    entries = [
-        [binom_a[al][k] * binom_b[be][l] for (al, be) in points]
-        for (k, l) in derivative_orders(n)
-    ]
-    return QMatrix(entries, col_labels=list(points))
+    cols = [(binom_a[al], binom_b[be]) for al, be in points]
+    rows = ([ca[k] * cb[l] for ca, cb in cols] for (k, l) in derivative_orders(n))
+    return [row for row in rows if any(row)]
+
+
+def _scaled_system(points, n: int) -> QMatrix:
+    """The rows of ``_scaled_rows`` as a QMatrix labelled by the points."""
+    return QMatrix(_scaled_rows(points, n), col_labels=list(points))
 
 
 def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
@@ -150,7 +154,7 @@ def _witness_test(p: HerzogPresentation, want_witness: bool):
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
-    reduced = _scaled_system(points, p.u).echelon(guard=unit)
+    reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
     fc = next((c for c, x in enumerate(reduced.guard) if x), None)
     if fc is None or not want_witness:
         return len(points), reduced.rank, fc is not None, None

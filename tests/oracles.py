@@ -2,7 +2,8 @@
 
 Each one is the straightforward route the package's faster code must agree
 with: a Fraction reduced row echelon form (unique, so it pins down ranks,
-pivots and the canonical kernel basis), matrix-vector products, the
+pivots and the canonical kernel basis), the eagerly rescaled Bareiss
+elimination, matrix-vector products, the
 shift-substitution membership test with Fraction coefficients, the
 derivative system in its falling-factorial (spec) form, the GK interval
 counts in Fraction arithmetic, and the ``dataclasses.asdict`` record encoding.
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from symrees.lattice import LatticePoint, enumerate_points
-from symrees.linalg import QMatrix
+from symrees.linalg import Echelon, QMatrix, _echelon
 from symrees.witness import derivative_orders
 
 
@@ -63,6 +64,68 @@ def rref_null_space(matrix) -> list[list[Fraction]]:
             vec[pc] = -m[r][fc]
         basis.append(vec)
     return basis
+
+
+def eager_echelon(rows, ncols: int, guard=None) -> Echelon:
+    """Bareiss elimination that rescales every row at every step.
+
+    Same pivot rule as ``symrees.linalg._echelon`` (smallest nonzero
+    magnitude, first row on ties): a row with a zero in the pivot column is
+    multiplied by p / prev at once instead of being left for later.  Works
+    on copies of its arguments.
+    """
+    rows = [list(row) for row in rows]
+    if guard is not None:
+        guard = list(guard)
+    pivots: list[int] = []
+    prev = 1
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(rows):
+        pivot_at = -1
+        best = None
+        for idx in range(rank, len(rows)):
+            v = rows[idx][col]
+            if v != 0 and (best is None or abs(v) < best):
+                best = abs(v)
+                pivot_at = idx
+        if pivot_at < 0:
+            col += 1
+            continue
+        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
+        pr = rows[rank]
+        p = pr[col]
+        targets = rows[rank + 1:]
+        if guard is not None:
+            targets.append(guard)
+        pr_tail = pr[col:]
+        for ri in targets:
+            q = ri[col]
+            if q == 0:
+                if p != prev:
+                    ri[col:] = [(p * x) // prev for x in ri[col:]]
+            elif prev == 1:
+                ri[col:] = [p * x - q * y for x, y in zip(ri[col:], pr_tail)]
+            else:
+                ri[col:] = [(p * x - q * y) // prev for x, y in zip(ri[col:], pr_tail)]
+        prev = p
+        pivots.append(col)
+        rank += 1
+        col += 1
+    return Echelon(rows=rows[:rank], pivots=pivots, guard=guard, cols=ncols)
+
+
+def assert_lazy_echelon_matches_eager(rows, ncols, guard=None):
+    """Lazy ``_echelon`` and the eager oracle agree on rows, pivots, guard and kernel.
+
+    The lazy kernel works in place, so it gets copies; the oracle copies itself.
+    """
+    want = eager_echelon(rows, ncols, guard)
+    got = _echelon([list(r) for r in rows], ncols, None if guard is None else list(guard))
+    assert (got.rows, got.pivots, got.guard) == (want.rows, want.pivots, want.guard), (rows, guard)
+    for fc in range(ncols):
+        if fc not in want.pivots:
+            assert got.kernel_vector(fc) == want.kernel_vector(fc), (rows, fc)
 
 
 def mul_vector(matrix, x) -> list[Fraction]:

@@ -2,10 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import falling_factorial, mul_vector, rref, rref_null_space
+from oracles import (
+    assert_lazy_echelon_matches_eager,
+    falling_factorial,
+    mul_vector,
+    rref,
+    rref_null_space,
+)
 from symrees.linalg import QMatrix
 
 
@@ -155,8 +162,28 @@ def test_appending_spanned_row_keeps_rank(rows):
     assert stacked.rank() == m.rank()
 
 
-def test_column_labels_must_be_distinct():
-    import pytest
+@pytest.mark.parametrize("zero_frac", [0, 0.3, 0.6, 0.85])
+def test_lazy_echelon_matches_eager_oracle(zero_frac):
+    # sparse rows give runs of zeros in the pivot column, which is where the
+    # lazy kernel skips rows; the guard is reduced eagerly either way
+    rng = random.Random(24007 + int(100 * zero_frac))
 
+    def row(cols):
+        return [0 if rng.random() < zero_frac else rng.randint(-6, 6) for _ in range(cols)]
+
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [row(ncols) for _ in range(nrows)]
+        assert_lazy_echelon_matches_eager(rows, ncols)
+        assert_lazy_echelon_matches_eager(rows, ncols, row(ncols))
+
+
+def test_lazy_echelon_keeps_guard_entries_left_of_later_pivots():
+    # the guard's entry at free column 1, left of the pivot at column 4, is
+    # not rescaled by the eager kernel; a lazily scaled guard would differ
+    assert_lazy_echelon_matches_eager([[0, 0, 0, 0, -5, 0]], 6, [0, 2, -3, 0, 0, 0])
+
+
+def test_column_labels_must_be_distinct():
     with pytest.raises(ValueError):
         QMatrix([[1, 2]], col_labels=["a", "a"])

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import symrees.lattice
-import symrees.linalg
 import symrees.witness
 from oracles import (
+    assert_lazy_echelon_matches_eager,
     build_matrix,
     mul_vector,
     rref_null_space,
@@ -27,6 +27,7 @@ from symrees.witness import (
     huneke_witness_exists,
     piece_dimension,
     shift_membership_test,
+    _scaled_rows,
     _scaled_system,
 )
 
@@ -258,6 +259,15 @@ def test_witness_decision_matches_direct_kernel_inspection(validated_30):
         assert huneke_witness_exists(p) == direct, p.triple
 
 
+def test_lazy_echelon_matches_eager_on_witness_systems(validated_30):
+    # every validated triple up to 30, with the unit guard at (0, 0)
+    for p in validated_30:
+        points = enumerate_points(p, 1)
+        unit = [0] * len(points)
+        unit[points.index(LatticePoint(0, 0))] = 1
+        assert_lazy_echelon_matches_eager(_scaled_rows(points, p.u), len(points), unit)
+
+
 def _oracle_witness(p):
     # first RREF kernel basis vector nonzero at (0, 0), normalized there
     points = enumerate_points(p, 1)
@@ -279,43 +289,12 @@ def test_classify_witness_matches_rref_oracle(validated_30):
         assert (v.witness_exists, v.dim_piece_u) == (exists, dim), p.triple
         if exists:
             assert list(v.witness.coefficients.items()) == list(coeffs.items()), p.triple
+            for c in v.witness.coefficients.values():
+                assert type(c.numerator) is int and type(c.denominator) is int, p.triple
             found += 1
         else:
             assert v.witness is None
     assert 0 < found < len(sample)
-
-
-class _BoxedInt(int):
-    # stands in for gmpy2.mpz: arithmetic stays in the subclass, as it does
-    # for mpz, so any entry not converted back to int shows up in a Fraction
-    def _box(self, other, op):
-        result = op(int(self), int(other))
-        return _BoxedInt(result) if type(result) is int else result
-
-    __add__ = lambda s, o: s._box(o, int.__add__)
-    __radd__ = lambda s, o: s._box(o, int.__radd__)
-    __sub__ = lambda s, o: s._box(o, int.__sub__)
-    __rsub__ = lambda s, o: s._box(o, int.__rsub__)
-    __mul__ = lambda s, o: s._box(o, int.__mul__)
-    __rmul__ = lambda s, o: s._box(o, int.__rmul__)
-    __floordiv__ = lambda s, o: s._box(o, int.__floordiv__)
-    __divmod__ = lambda s, o: tuple(map(_BoxedInt, divmod(int(s), int(o))))
-    __neg__ = lambda s: _BoxedInt(-int(s))
-    __abs__ = lambda s: _BoxedInt(abs(int(s)))
-    numerator = property(lambda s: s)
-
-
-def test_witness_values_are_python_ints_under_any_backend(monkeypatch):
-    monkeypatch.setattr(symrees.linalg, "_mpz", _BoxedInt)
-    reduced = symrees.linalg.QMatrix([[2, 4, 1], [1, 3, 5]]).echelon()
-    assert all(type(x) is _BoxedInt for row in reduced.rows for x in row)
-    triples = [CurveTriple(8, 19, 9), CurveTriple(27, 23, 5), CurveTriple(26, 29, 5)]
-    boxed = [classify(t, want_witness=True).witness for t in triples]
-    for t, w in zip(triples, boxed):
-        for c in w.coefficients.values():
-            assert type(c.numerator) is int and type(c.denominator) is int, t
-    monkeypatch.undo()
-    assert boxed == [classify(t, want_witness=True).witness for t in triples]
 
 
 def test_classify_worked_examples():
@@ -395,12 +374,11 @@ def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
     # the witness comes from the points and system the verdict was decided on
     sample = validated_30[::9]
     calls = Counter()
-    for module, name in [(symrees.witness, "enumerate_points"), (symrees.witness, "_scaled_system"),
-                         (symrees.linalg, "_echelon")]:
-        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    for name in ["enumerate_points", "_scaled_rows", "_echelon"]:
+        monkeypatch.setattr(symrees.witness, name, counting(calls, name, getattr(symrees.witness, name)))
     verdicts = [classify(p.triple, want_witness=True) for p in sample]
     n = len(sample)
-    assert calls == {"enumerate_points": n, "_scaled_system": n, "_echelon": n}
+    assert calls == {"enumerate_points": n, "_scaled_rows": n, "_echelon": n}
     monkeypatch.undo()
     with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
     assert with_witness
