@@ -19,7 +19,6 @@ from .lattice import (  # noqa: F401
     column_counts,
     compute_nm,
     enumerate_points,
-    interval_lattice_count,
 )
 from .criteria import (  # noqa: F401
     EuReport,

@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes for `classify`: 0 Noetherian, 1 not Noetherian, 2 inapplicable
-(hypotheses fail), 3 usage error, 4 internal consistency failure.
+(hypotheses fail), 3 usage error, 4 internal consistency failure, 5 i/o
+error.  `witness` uses the same codes: 0 witness emitted or verified, 1 no
+witness (not Noetherian), 2 inapplicable, 4 a witness file that fails a
+re-check, is for another triple or is not a well-formed witness payload.
 """
 
 from __future__ import annotations
@@ -185,6 +188,39 @@ def _witness_payload(verdict) -> dict:
     }
 
 
+_TERM_FIELDS = {"lattice_coefficients": ("alpha", "beta"), "monomials": ("x", "y", "z")}
+
+
+def _is_term(item, fields) -> bool:
+    """A dict with integer ``fields`` and a rational ``coefficient`` string."""
+    if not isinstance(item, dict) or any(type(item.get(name)) is not int for name in fields):
+        return False
+    try:
+        Fraction(item["coefficient"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return False
+    return isinstance(item["coefficient"], str)
+
+
+def _payload_problem(payload) -> str | None:
+    """Why ``payload`` is not a well-formed witness payload, or None if it is."""
+    if not isinstance(payload, dict):
+        return "not a JSON object"
+    missing = [k for k in ("triple", "e", "order", "degree", *_TERM_FIELDS) if k not in payload]
+    if missing:
+        return f"missing {', '.join(missing)}"
+    triple = payload["triple"]
+    if not (isinstance(triple, list) and len(triple) == 3 and all(type(x) is int for x in triple)):
+        return "triple is not three integers"
+    for key in ("e", "order", "degree"):
+        if type(payload[key]) is not int or payload[key] < 1:
+            return f"{key} is not a positive integer"
+    for key, fields in _TERM_FIELDS.items():
+        if not isinstance(payload[key], list) or not all(_is_term(t, fields) for t in payload[key]):
+            return f"{key} is not a list of integer terms with rational coefficients"
+    return None
+
+
 def _reverify_witness(payload: dict) -> list[str]:
     """Exact re-checks of an emitted witness; returns failure messages."""
     problems = []
@@ -217,8 +253,17 @@ def _reverify_witness(payload: dict) -> list[str]:
 
 def _cmd_witness(args) -> int:
     if args.verify:
-        with open(args.verify) as fh:
-            payload = json.load(fh)
+        with open(args.verify, "rb") as fh:
+            data = fh.read()
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            problem = f"not JSON ({exc})"
+        else:
+            problem = _payload_problem(payload)
+        if problem:
+            print(f"FAIL: malformed witness file: {problem}", file=sys.stderr)
+            return 4
         if tuple(payload["triple"]) != (args.a, args.b, args.c):
             print(f"witness file is for triple {payload['triple']}", file=sys.stderr)
             return 4

@@ -13,11 +13,12 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
 All comparisons are exact rational arithmetic: vertices are kept as
 fractions and each column of points is obtained by one ceil and one floor.
 Those integer column bounds come from one helper, `_column_bounds`.  The
-column counts behind the EU criterion and the point totals read them
-directly, in O(u) work with no point built, so an inapplicable triple costs
-O(u) rather than the area of D; only the derivative systems enumerate
-points.  The slope-interval counts behind GK come from one integer helper,
-`interval_count`.  Nothing is cached at module level.
+column counts behind the EU criterion, the point totals and the columns of
+the finite-difference verdict system read them directly, with no point
+built, so an inapplicable triple costs O(u) rather than the area of D; only
+witness extraction enumerates points.  The slope-interval counts behind GK
+come from one integer helper, `interval_count`.  Nothing is cached at module
+level.
 """
 
 from __future__ import annotations
@@ -152,12 +153,6 @@ def interval_count(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> int:
     division, no Fraction built.
     """
     return max(0, hi_num // hi_den + (-lo_num) // lo_den + 1)
-
-
-def interval_lattice_count(lo: Fraction, hi: Fraction) -> int:
-    """Number of integers in the closed interval [lo, hi] (0 if empty)."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return interval_count(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def compute_nm(p: HerzogPresentation) -> tuple[int, int]:

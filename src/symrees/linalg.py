@@ -1,12 +1,12 @@
-"""Exact rational linear algebra.
+"""Exact integer linear algebra.
 
-All computations here are over the rationals (Python ``int`` and
-``fractions.Fraction``), with no floating point anywhere: the verdicts built
-on top of this module are exact yes/no statements.  There is one elimination
-routine, ``_echelon``: fraction-free Bareiss elimination on integer-cleared
-rows, optionally carrying a guard row that is never a pivot.  Rank,
-row-space membership (the guard reduces to zero) and kernel vectors (one
-exact back-substitution per free column) are all read from its echelon form.
+All computations here are over the integers (Python ``int``), with no
+floating point anywhere: the verdicts built on top of this module are exact
+yes/no statements.  There is one elimination routine, ``_echelon``:
+fraction-free Bareiss elimination on integer rows, optionally carrying a
+guard row that is never a pivot.  Rank, row-space membership (the guard
+reduces to zero) and kernel vectors (one exact back-substitution per free
+column) are all read from its echelon form.
 The pivot columns of any echelon form are those of the unique reduced row
 echelon form, so the kernel basis read here is the canonical one.  Entries
 are plain Python ints: on the largest witness systems of the benchmark pools
@@ -15,21 +15,7 @@ no elimination entry exceeds 56 bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
-
-Rat = int | Fraction
-
-
-def _row_to_ints(row: Sequence[Rat]) -> list[int]:
-    """Clear denominators of one row (rank is invariant under row scaling)."""
-    denoms = [x.denominator for x in row if type(x) is not int]
-    if not denoms:
-        return list(row)
-    scale = math.lcm(*denoms)
-    return [int(x * scale) for x in row]
 
 
 @dataclass(frozen=True)
@@ -155,75 +141,3 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
         rank += 1
         col += 1
     return Echelon(rows=rows[:rank], pivots=pivots, guard=guard, cols=ncols)
-
-
-class QMatrix:
-    """Dense exact matrix over the rationals with labelled columns.
-
-    Immutable after construction; entries may be ``int`` or ``Fraction``
-    (both exact).  Column labels are opaque tags used to keep witness
-    coordinates attached to the lattice points they stand for.
-    """
-
-    def __init__(self, entries: Sequence[Sequence[Rat]], col_labels: Sequence | None = None):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        if col_labels is None:
-            col_labels = list(range(self.cols))
-        self.col_labels = list(col_labels)
-        if len(self.col_labels) != self.cols:
-            raise ValueError("need one label per column")
-        if len(set(self.col_labels)) != self.cols:
-            raise ValueError("column labels must be distinct")
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.rows}x{self.cols})"
-
-    def echelon(self, guard: Sequence[Rat] | None = None) -> Echelon:
-        """One fraction-free elimination of the rows, carrying ``guard``.
-
-        Rows are cleared of denominators (row scaling changes neither the
-        row space nor the kernel) and zero rows are dropped first.
-        """
-        if guard is not None and len(guard) != self.cols:
-            raise ValueError("length mismatch")
-        rows = [r for r in map(_row_to_ints, self.entries) if any(r)]
-        return _echelon(rows, self.cols, None if guard is None else _row_to_ints(guard))
-
-    def rank(self) -> int:
-        return self.echelon().rank
-
-    def rank_and_row_space_contains(self, v: Sequence[Rat]) -> tuple[int, bool]:
-        """(rank of the matrix, whether v lies in its row space), one pass.
-
-        The candidate row is carried through the elimination without ever
-        being chosen as a pivot; it ends up zero exactly when it is a
-        combination of the matrix rows.
-        """
-        reduced = self.echelon(guard=v)
-        return reduced.rank, not any(reduced.guard)
-
-    def row_space_contains(self, v: Sequence[Rat]) -> bool:
-        """True iff v is a rational linear combination of the rows."""
-        return self.rank_and_row_space_contains(v)[1]
-
-    def null_space(self) -> list[list[Fraction]]:
-        """Basis of the exact kernel {x : Mx = 0}, one vector per free column.
-
-        Deterministic: free columns in ascending order, and the basis vector
-        for free column j has coordinate 1 there and 0 at the other free
-        columns.  (This basis is canonical: it only depends on the RREF,
-        which is unique.)
-        """
-        reduced = self.echelon()
-        pivot_set = set(reduced.pivots)
-        basis = []
-        for fc in range(self.cols):
-            if fc not in pivot_set:
-                vec = reduced.kernel_vector(fc)
-                basis.append([Fraction(x, vec[fc]) for x in vec])
-        return basis

@@ -14,6 +14,11 @@ system contain a vector with nonzero coordinate at (0, 0)?  Equivalently,
 the unit vector at (0, 0) must not lie in the row space of the system.
 When such a witness exists the ring is finitely generated; otherwise not
 (always under the validated hypotheses).
+
+The verdict, the rank and the piece dimensions are decided in an equivalent
+finite-difference column basis built from the column bounds alone.  Only
+witness extraction builds the lattice points: the canonical witness is
+defined by the reduced row echelon form in point order.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .criteria import EuReport, GkReport, InternalConsistencyError, check_eu, check_gk
-from .lattice import DeltaRegion, LatticePoint, count_points, enumerate_points
-from .linalg import QMatrix, _echelon
+from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
+from .linalg import _echelon
 from .presentation import (
     AssumptionReport,
     CurveTriple,
@@ -68,8 +73,8 @@ def _scaled_rows(points, n: int) -> list[list[int]]:
 
     Entry C(alpha, k) * C(beta, l): dividing the (k, l) row by k! l! leaves
     rank, kernel and row space unchanged but keeps the elimination entries
-    much smaller; all decisions (witness existence, piece dimensions, witness
-    extraction) use this form.  All-zero rows are dropped.
+    much smaller.  Witness extraction uses this form.  All-zero rows are
+    dropped.
     """
     binom_a = _binom_table({al for al, _ in points}, n)
     binom_b = _binom_table({be for _, be in points}, n)
@@ -78,23 +83,65 @@ def _scaled_rows(points, n: int) -> list[list[int]]:
     return [row for row in rows if any(row)]
 
 
-def _scaled_system(points, n: int) -> QMatrix:
-    """The rows of ``_scaled_rows`` as a QMatrix labelled by the points."""
-    return QMatrix(_scaled_rows(points, n), col_labels=list(points))
+def _fd_rows(p: HerzogPresentation, e: int, n: int) -> tuple[list[list[int]], int]:
+    """Nonzero rows and column count of the (e, n) system in the finite-difference basis.
+
+    Column alpha of e*D holds the points (alpha, b_lo..b_hi), l_alpha of
+    them; their monomials w^beta span the same space as w^b_lo (w-1)^j,
+    j < l_alpha, by a unimodular triangular change of basis, so the rank is
+    that of the point system.  Under v = 1+s, w = 1+r the column (alpha, j)
+    has entry C(alpha, k) * C(b_lo, l-j) in row (k, l), zero when l < j;
+    columns with j >= n are zero and left out.  Column alpha = 0 is the
+    single point (0, 0), so the unit vector there is the same in both bases.
+    Column order: (0, 0), then j descending, alpha ascending, which keeps the
+    elimination short; row (k, l) is zero on the leading columns with j > l.
+    """
+    groups = [
+        (alpha, b_lo, min(b_hi - b_lo + 1, n))
+        for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
+        if b_hi >= b_lo
+    ]
+    binom_a = _binom_table({al for al, _, _ in groups}, n)
+    binom_b = _binom_table({b_lo for _, b_lo, _ in groups}, n)
+    cols = []  # the columns after (0, 0)
+    skip = [0] * n  # skip[l]: leading columns with j > l
+    for j in range(max(width for _, _, width in groups) - 1, -1, -1):
+        skip[j] = len(cols)
+        cols += [
+            (binom_a[al], [0] * j + binom_b[b_lo][:n - j])
+            for al, b_lo, width in groups
+            if al and j < width
+        ]
+    # column (0, 0) holds C(0, k) * C(0, l): 1 in row (0, 0) only
+    rows = (
+        [int(k == l == 0)] + [0] * skip[l] + [ca[k] * cb[l] for ca, cb in cols[skip[l]:]]
+        for k, l in derivative_orders(n)
+    )
+    return [row for row in rows if any(row)], 1 + len(cols)
+
+
+def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
+    """(rank, constant term forced) for the (e, n) system, in one elimination.
+
+    The guard is the unit at new column 0, which is (0, 0); the constant term
+    is forced iff it reduces to zero.
+    """
+    rows, ncols = _fd_rows(p, e, n)
+    reduced = _echelon(rows, ncols, [1] + [0] * (ncols - 1))
+    return reduced.rank, not any(reduced.guard)
 
 
 def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     """dim of the degree-(e*a*b) piece of the n-th symbolic power.
 
     Computed as (number of lattice points of e*D) minus the rank of the
-    derivative system; n = 0 means no constraints.
+    derivative system, taken in the finite-difference basis; n = 0 means no
+    constraints.
     """
     if e < 1 or n < 0:
         raise ValueError("need e >= 1 and n >= 0")
-    if n == 0:
-        return count_points(p, e)
-    points = enumerate_points(p, e)
-    return len(points) - _scaled_system(points, n).rank()
+    points = count_points(p, e)
+    return points - _fd_decision(p, e, n)[0] if n else points
 
 
 def _require_assumptions(p: HerzogPresentation) -> AssumptionReport:
@@ -143,21 +190,26 @@ class WitnessElement:
 def _witness_test(p: HerzogPresentation, want_witness: bool):
     """(point count, rank, witness exists, witness or None) for the (e=1, n=u) system.
 
-    One elimination decides everything.  The unit vector at (0, 0) is carried
-    as the guard row; it reduces to a multiple of e_j - R[r_j] (R the RREF,
-    j the (0, 0) column), whose entry at a free column is nonzero exactly
-    when that column's canonical kernel basis vector is nonzero at (0, 0).
-    So the constant term is forced to 0 iff the reduced guard vanishes, and
-    otherwise its first nonzero column gives the canonical witness.
+    One elimination decides everything: the finite-difference one of
+    ``_fd_decision`` without a witness wanted, else the point system's.  Its
+    guard, the unit vector at (0, 0), reduces to a multiple of e_j - R[r_j]
+    (R the RREF, j the (0, 0) column), whose entry at a free column is
+    nonzero exactly when that column's canonical kernel basis vector is
+    nonzero at (0, 0).  So the constant term is forced to 0 iff the reduced
+    guard vanishes, and otherwise its first nonzero column gives the
+    canonical witness.
     """
+    if not want_witness:
+        rank, forced = _fd_decision(p, 1, p.u)
+        return count_points(p, 1), rank, not forced, None
     points = enumerate_points(p, 1)
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
     reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
     fc = next((c for c, x in enumerate(reduced.guard) if x), None)
-    if fc is None or not want_witness:
-        return len(points), reduced.rank, fc is not None, None
+    if fc is None:
+        return len(points), reduced.rank, False, None
     vec = reduced.kernel_vector(fc)
     coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
     return len(points), reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)

@@ -21,3 +21,8 @@ def validated_presentations(bound):
 @pytest.fixture(scope="session")
 def validated_30():
     return validated_presentations(30)
+
+
+@pytest.fixture(scope="session")
+def validated_40():
+    return validated_presentations(40)

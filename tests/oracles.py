@@ -1,12 +1,14 @@
 """Plain rational reference implementations that only the tests use.
 
 Each one is the straightforward route the package's faster code must agree
-with: a Fraction reduced row echelon form (unique, so it pins down ranks,
-pivots and the canonical kernel basis), the eagerly rescaled Bareiss
-elimination, matrix-vector products, the
-shift-substitution membership test with Fraction coefficients, the
-derivative system in its falling-factorial (spec) form, the GK interval
-counts in Fraction arithmetic, and the ``dataclasses.asdict`` record encoding.
+with: a dense rational matrix with rank, row-space and kernel queries, a
+Fraction reduced row echelon form (unique, so it pins down ranks, pivots
+and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
+matrix-vector products, the shift-substitution membership test with
+Fraction coefficients, the derivative system over the lattice points in its
+falling-factorial (spec) and binomial-scaled forms, the GK interval counts
+in Fraction arithmetic, a Fraction front end to the integer interval count,
+and the ``dataclasses.asdict`` record encoding.
 """
 
 from __future__ import annotations
@@ -14,10 +16,114 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from symrees.lattice import LatticePoint, enumerate_points
-from symrees.linalg import Echelon, QMatrix, _echelon
-from symrees.witness import derivative_orders
+from symrees.lattice import LatticePoint, enumerate_points, interval_count
+from symrees.linalg import Echelon, _echelon
+from symrees.witness import _scaled_rows, derivative_orders
+
+Rat = int | Fraction
+
+
+def row_to_ints(row: Sequence[Rat]) -> list[int]:
+    """Clear denominators of one row (rank is invariant under row scaling)."""
+    denoms = [x.denominator for x in row if type(x) is not int]
+    if not denoms:
+        return list(row)
+    scale = math.lcm(*denoms)
+    return [int(x * scale) for x in row]
+
+
+class QMatrix:
+    """Dense exact matrix over the rationals with labelled columns.
+
+    Immutable after construction; entries may be ``int`` or ``Fraction``
+    (both exact).  Column labels are opaque tags used to keep witness
+    coordinates attached to the lattice points they stand for.
+    """
+
+    def __init__(self, entries: Sequence[Sequence[Rat]], col_labels: Sequence | None = None):
+        self.entries = [list(row) for row in entries]
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0]) if self.entries else 0
+        for row in self.entries:
+            if len(row) != self.cols:
+                raise ValueError("ragged rows")
+        if col_labels is None:
+            col_labels = list(range(self.cols))
+        self.col_labels = list(col_labels)
+        if len(self.col_labels) != self.cols:
+            raise ValueError("need one label per column")
+        if len(set(self.col_labels)) != self.cols:
+            raise ValueError("column labels must be distinct")
+
+    def __repr__(self) -> str:
+        return f"QMatrix({self.rows}x{self.cols})"
+
+    def echelon(self, guard: Sequence[Rat] | None = None) -> Echelon:
+        """One fraction-free elimination of the rows, carrying ``guard``.
+
+        Rows are cleared of denominators (row scaling changes neither the
+        row space nor the kernel) and zero rows are dropped first.
+        """
+        if guard is not None and len(guard) != self.cols:
+            raise ValueError("length mismatch")
+        rows = [r for r in map(row_to_ints, self.entries) if any(r)]
+        return _echelon(rows, self.cols, None if guard is None else row_to_ints(guard))
+
+    def rank(self) -> int:
+        return self.echelon().rank
+
+    def rank_and_row_space_contains(self, v: Sequence[Rat]) -> tuple[int, bool]:
+        """(rank of the matrix, whether v lies in its row space), one pass.
+
+        The candidate row is carried through the elimination without ever
+        being chosen as a pivot; it ends up zero exactly when it is a
+        combination of the matrix rows.
+        """
+        reduced = self.echelon(guard=v)
+        return reduced.rank, not any(reduced.guard)
+
+    def row_space_contains(self, v: Sequence[Rat]) -> bool:
+        """True iff v is a rational linear combination of the rows."""
+        return self.rank_and_row_space_contains(v)[1]
+
+    def null_space(self) -> list[list[Fraction]]:
+        """Basis of the exact kernel {x : Mx = 0}, one vector per free column.
+
+        Deterministic: free columns in ascending order, and the basis vector
+        for free column j has coordinate 1 there and 0 at the other free
+        columns.  (This basis is canonical: it only depends on the RREF,
+        which is unique.)
+        """
+        reduced = self.echelon()
+        pivot_set = set(reduced.pivots)
+        basis = []
+        for fc in range(self.cols):
+            if fc not in pivot_set:
+                vec = reduced.kernel_vector(fc)
+                basis.append([Fraction(x, vec[fc]) for x in vec])
+        return basis
+
+
+def scaled_system(points, n: int) -> QMatrix:
+    """The binomial-scaled point system of ``_scaled_rows``, labelled by the points."""
+    return QMatrix(_scaled_rows(points, n), col_labels=list(points))
+
+
+def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
+    """(rank, constant term forced) for the (e, n) point system.
+
+    The route the verdict took before the finite-difference basis: one
+    elimination of the scaled rows over every lattice point of e*D, with the
+    unit vector at (0, 0) as the guard.  The constant term is forced iff that
+    unit lies in the row space.
+    """
+    points = enumerate_points(p, e)
+    unit = [0] * len(points)
+    unit[points.index(LatticePoint(0, 0))] = 1
+    reduced = _echelon(_scaled_rows(points, n), len(points), unit)
+    return reduced.rank, not any(reduced.guard)
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -218,6 +324,12 @@ def witness_system(p, e: int = 1, n: int | None = None) -> DerivativeMatrix:
     if n is None:
         n = p.u * e
     return build_matrix(enumerate_points(p, e), n, e)
+
+
+def interval_lattice_count(lo: Fraction, hi: Fraction) -> int:
+    """Integers in the closed interval [lo, hi] by ``lattice.interval_count``."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return interval_count(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def fraction_interval_count(lo: Fraction, hi: Fraction) -> int:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from symrees.cli import main
 from symrees.records import CSV_COLUMNS, from_dict, from_verdict, to_dict
 from symrees.presentation import CurveTriple
@@ -168,6 +170,62 @@ def test_witness_verify_rejects_tampering(capsys, tmp_path):
     code, _, err = run_cli(capsys, "witness", "8", "19", "9", "--verify", str(tampered))
     assert code == 4
     assert "FAIL" in err
+
+
+def _verify_file(capsys, tmp_path, text):
+    path = tmp_path / "witness.json"
+    path.write_text(text)
+    return run_cli(capsys, "witness", "8", "19", "9", "--verify", str(path))
+
+
+def _emitted_payload(capsys, tmp_path):
+    out_file = tmp_path / "emitted.json"
+    run_cli(capsys, "witness", "8", "19", "9", "--out", str(out_file))
+    return json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize(
+    "key", ["triple", "e", "order", "degree", "lattice_coefficients", "monomials"]
+)
+def test_witness_verify_rejects_missing_key(capsys, tmp_path, key):
+    payload = _emitted_payload(capsys, tmp_path)
+    del payload[key]
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("FAIL: malformed witness file: missing " + key)
+
+
+@pytest.mark.parametrize("text", ["[8, 19, 9]", '"witness"', "null", "3"])
+def test_witness_verify_rejects_non_object_payload(capsys, tmp_path, text):
+    code, _, err = _verify_file(capsys, tmp_path, text)
+    assert code == 4
+    assert err == "FAIL: malformed witness file: not a JSON object\n"
+
+
+def test_witness_verify_rejects_invalid_json(capsys, tmp_path):
+    text = json.dumps(_emitted_payload(capsys, tmp_path), indent=2)
+    for broken in [text[: len(text) // 2], "", "{'triple': [8, 19, 9]}"]:
+        code, _, err = _verify_file(capsys, tmp_path, broken)
+        assert code == 4, broken
+        assert err.startswith("FAIL: malformed witness file: not JSON"), broken
+
+
+def test_witness_verify_rejects_mistyped_fields(capsys, tmp_path):
+    payload = _emitted_payload(capsys, tmp_path)
+    edits = [
+        ("triple", [8, 19]),
+        ("e", "1"),
+        ("order", 0),
+        ("lattice_coefficients", {"alpha": 0}),
+        ("monomials", [{"x": 1, "y": 2, "z": "3", "coefficient": "1"}]),
+        ("lattice_coefficients", [{"alpha": 0, "beta": 0, "coefficient": "1/0"}]),
+        ("lattice_coefficients", [{"alpha": 0, "beta": 0, "coefficient": 1}]),
+    ]
+    for key, value in edits:
+        code, _, err = _verify_file(capsys, tmp_path, json.dumps({**payload, key: value}))
+        assert code == 4, (key, value)
+        assert err.startswith(f"FAIL: malformed witness file: {key} "), (key, value, err)
 
 
 def test_witness_absent(capsys):

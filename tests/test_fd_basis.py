@@ -1,0 +1,167 @@
+"""The finite-difference column basis against the point system it replaces.
+
+The verdict, the rank and the piece dimensions are decided on the columns
+v^alpha w^b_lo (w-1)^j; the point system over every lattice point, kept in
+``oracles.point_system_decision``, is the oracle.  Both must give the same
+rank and the same answer to "is the constant term forced".
+"""
+
+import json
+import math
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import symrees.lattice
+import symrees.witness
+from oracles import point_system_decision
+from symrees.lattice import _column_bounds, count_points, enumerate_points
+from symrees.presentation import (
+    CurveTriple,
+    NotCoprimeError,
+    NotThreeGeneratedError,
+    compute_presentation,
+)
+from symrees.scan import ScanJob, iter_triples
+from symrees.witness import (
+    _fd_decision,
+    _fd_rows,
+    classify,
+    derivative_orders,
+    huneke_witness_exists,
+    piece_dimension,
+)
+
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def pool_rows(name):
+    data = json.loads((POOLS / name).read_text())
+    return [dict(zip(data["columns"], row)) for row in data["rows"]]
+
+
+def pres(a, b, c):
+    return compute_presentation(CurveTriple(a, b, c))
+
+
+def test_fd_decision_matches_point_system_up_to_40(validated_40):
+    assert len(validated_40) == 3046
+    for p in validated_40:
+        assert _fd_decision(p, 1, p.u) == point_system_decision(p, 1, p.u), p.triple
+
+
+def test_fd_decision_matches_rank_deep_pool():
+    # the pool's points, verdicts and dim_piece_u were recorded from the
+    # point system; every 8th row is also eliminated here over its points
+    rows = pool_rows("rank_deep.json")
+    assert len(rows) == 1024
+    for i, row in enumerate(rows):
+        p = pres(row["a"], row["b"], row["c"])
+        rank, forced = _fd_decision(p, 1, p.u)
+        assert count_points(p, 1) == row["points"], row
+        assert (row["points"] - rank, not forced) == (row["dim_piece_u"], row["noetherian"]), row
+        if i % 8 == 0:
+            assert (rank, forced) == point_system_decision(p, 1, p.u), row
+
+
+def test_fd_decision_matches_witness_extract_pool():
+    rows = pool_rows("witness_extract.json")
+    assert len(rows) == 512
+    for row in rows:
+        p = pres(row["a"], row["b"], row["c"])
+        assert count_points(p, 1) == row["points"], row
+        decision = _fd_decision(p, 1, p.u)
+        assert decision == point_system_decision(p, 1, p.u), row
+        assert not decision[1], row  # every pool triple has a witness
+
+
+def test_fd_decision_matches_point_system_beyond_hypotheses():
+    # the change of basis needs no hypothesis beyond a three-binomial
+    # presentation: every such triple up to 12, at scales 1 and 2 and every
+    # order up to e*u + 1
+    cases = 0
+    for a, b, c in iter_triples(ScanJob.upto(12)):
+        try:
+            p = pres(a, b, c)
+        except (NotCoprimeError, NotThreeGeneratedError):
+            continue
+        for e in (1, 2):
+            if count_points(p, e) > 300:
+                continue
+            for n in range(1, e * p.u + 2):
+                want = point_system_decision(p, e, n)
+                assert _fd_decision(p, e, n) == want, (p.triple, e, n)
+                cases += 1
+    assert cases > 1500
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(3, 150),
+    st.integers(3, 150),
+    st.integers(3, 150),
+    st.integers(1, 2),
+    st.integers(1, 40),
+)
+def test_fd_decision_matches_point_system_property(a, b, c, e, n_seed):
+    while math.gcd(a, b) != 1:
+        b += 1
+    while math.gcd(a * b, c) != 1:
+        c += 1
+    try:
+        p = pres(a, b, c)
+    except NotThreeGeneratedError:
+        assume(False)
+    assume(count_points(p, e) <= 300)
+    n = 1 + n_seed % (e * p.u + 1)
+    assert _fd_decision(p, e, n) == point_system_decision(p, e, n), (p.triple, e, n)
+
+
+def test_piece_dimension_matches_point_system_up_to_20(validated_30):
+    # also the constant-term decision, at every scale and order tried
+    validated_20 = [p for p in validated_30 if max(p.a, p.b, p.c) <= 20]
+    assert validated_20
+    cases = 0
+    for p in validated_20:
+        for e in (1, 2):
+            points = len(enumerate_points(p, e))
+            assert piece_dimension(p, e, 0) == points, p.triple
+            for n in range(1, p.u + 2):
+                rank, forced = point_system_decision(p, e, n)
+                assert piece_dimension(p, e, n) == points - rank, (p.triple, e, n)
+                assert _fd_decision(p, e, n) == (rank, forced), (p.triple, e, n)
+                cases += 1
+    assert cases > 700
+
+
+def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
+    for p in validated_30:
+        for e in (1, 2):
+            lengths = [b_hi - b_lo + 1 for b_lo, b_hi in _column_bounds(p, e) if b_hi >= b_lo]
+            for n in (1, 2, p.u, e * p.u + 1):
+                rows, ncols = _fd_rows(p, e, n)
+                assert ncols <= sum(min(ell, n) for ell in lengths), (p.triple, e, n)
+                assert len(rows) <= len(derivative_orders(n))
+                assert all(len(row) == ncols for row in rows)
+
+
+def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):
+    sample = validated_30[::7] + [pres(17, 503, 169)]
+    want = [
+        (classify(p.triple), huneke_witness_exists(p), piece_dimension(p, 2, p.u))
+        for p in sample
+    ]
+
+    def no_points(*args):
+        raise AssertionError("lattice point built without a witness wanted")
+
+    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
+    monkeypatch.setattr(symrees.lattice, "LatticePoint", no_points)
+    got = [
+        (classify(p.triple), huneke_witness_exists(p), piece_dimension(p, 2, p.u))
+        for p in sample
+    ]
+    assert got == want
+    assert any(v.noetherian for v, _, _ in got) and not all(v.noetherian for v, _, _ in got)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_left_count, fraction_nm, fraction_right_count
+from oracles import (
+    fraction_left_count,
+    fraction_nm,
+    fraction_right_count,
+    interval_lattice_count,
+)
 from symrees.criteria import _left_count, _right_count
 from symrees.lattice import (
     DeltaRegion,
@@ -15,7 +20,6 @@ from symrees.lattice import (
     compute_nm,
     count_points,
     enumerate_points,
-    interval_lattice_count,
 )
 from symrees.presentation import CurveTriple, NotThreeGeneratedError, compute_presentation
 from symrees.scan import ScanJob, iter_triples

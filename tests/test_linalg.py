@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    QMatrix,
     assert_lazy_echelon_matches_eager,
     falling_factorial,
     mul_vector,
     rref,
     rref_null_space,
 )
-from symrees.linalg import QMatrix
 
 
 def test_falling_factorial_base_cases():

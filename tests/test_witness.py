@@ -11,6 +11,7 @@ from oracles import (
     build_matrix,
     mul_vector,
     rref_null_space,
+    scaled_system,
     shift_membership_fraction,
     witness_system,
 )
@@ -28,7 +29,6 @@ from symrees.witness import (
     piece_dimension,
     shift_membership_test,
     _scaled_rows,
-    _scaled_system,
 )
 
 
@@ -73,7 +73,7 @@ def test_scaled_system_matches_spec_system(validated_30):
     for p in validated_30[::9]:
         points = enumerate_points(p, 1)
         spec_form = build_matrix(points, p.u).base
-        fast_form = _scaled_system(points, p.u)
+        fast_form = scaled_system(points, p.u)
         assert spec_form.rank() == fast_form.rank()
         for vec in fast_form.null_space():
             assert all(v == 0 for v in mul_vector(spec_form, vec))
@@ -272,7 +272,7 @@ def _oracle_witness(p):
     # first RREF kernel basis vector nonzero at (0, 0), normalized there
     points = enumerate_points(p, 1)
     j = points.index(LatticePoint(0, 0))
-    basis = rref_null_space(_scaled_system(points, p.u))
+    basis = rref_null_space(scaled_system(points, p.u))
     for vec in basis:
         if vec[j] != 0:
             coeffs = {pt: x / vec[j] for pt, x in zip(points, vec) if x != 0}
