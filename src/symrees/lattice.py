@@ -10,22 +10,24 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
     beta >= -(s2/s3) * alpha               (x exponent >= 0)
     beta >= (t/t3) * (alpha - e*u) + e*u2  (y exponent >= 0).
 
-All comparisons are exact rational arithmetic: vertices are kept as
-fractions and each column of points is obtained by one ceil and one floor.
-Those integer column bounds come from one helper, `_column_bounds`.  The
-column counts behind the EU criterion, the point totals and the columns of
-the finite-difference verdict system read them directly, with no point
-built, so an inapplicable triple costs O(u) rather than the area of D; only
-witness extraction enumerates points.  The slope-interval counts behind GK
-come from one integer helper, `interval_count`.  Nothing is cached at module
-level.
+All comparisons are exact: vertices and slopes are kept as fractions, and
+each column of points is obtained by one ceil and one floor in integer
+arithmetic.  Those integer column bounds come from one helper,
+`_column_bounds` (`_column_bound` for a single column).  The column counts
+behind the EU criterion, the point totals, the columns of the
+finite-difference verdict system and `DeltaRegion.contains` read them
+directly, with no point and no Fraction built, so an inapplicable triple
+costs O(u) rather than the area of D.  Only witness extraction enumerates
+points, and only the first u of each column (``depth``).  The slope-interval
+counts behind GK come from one integer helper, `interval_count`.  Nothing is
+cached at module level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .presentation import HerzogPresentation
 
@@ -83,10 +85,12 @@ class DeltaRegion:
         return lo, hi
 
     def contains(self, alpha: int, beta: int) -> bool:
-        if alpha < 0 or alpha > self.e * self.presentation.u:
+        """Is (alpha, beta) an integer point of e*D?  Integer arithmetic only."""
+        p, e = self.presentation, self.e
+        if alpha < 0 or alpha > e * p.u:
             return False
-        lo, hi = self.beta_range(alpha)
-        return lo <= beta <= hi
+        b_lo, b_hi = _column_bound(p, e, alpha)
+        return b_lo <= beta <= b_hi
 
     def monomial_exponents(self, point: LatticePoint) -> tuple[int, int, int]:
         """(x, y, z) exponents of y^(e*a) v^alpha w^beta; nonnegative inside."""
@@ -99,17 +103,20 @@ class DeltaRegion:
         )
 
 
-def _column_bounds(p: HerzogPresentation, e: int) -> Iterator[tuple[int, int]]:
-    """(b_lo, b_hi) for each column alpha = 0..e*u of e*D, in order.
+def _column_bounds(
+    p: HerzogPresentation, e: int, alphas: Iterable[int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """(b_lo, b_hi) for each column alpha of e*D, alpha = 0..e*u in order by default.
 
     b_lo is the ceiling of the higher of the two lower boundary lines and
     b_hi the floor of the upper one, both in integer arithmetic; the column
-    holds the integers b_lo..b_hi, none when b_lo > b_hi.
+    holds the integers b_lo..b_hi, none when b_lo > b_hi.  ``alphas`` picks
+    other abscissas; the formula is not limited to 0..e*u.
     """
     if e < 1:
         raise ValueError("scale e must be >= 1")
     s2, s3, t, t3, u, u2 = p.s2, p.s3, p.t, p.t3, p.u, p.u2
-    for alpha in range(e * u + 1):
+    for alpha in range(e * u + 1) if alphas is None else alphas:
         b_hi = (u2 * alpha) // u
         lo1 = -((s2 * alpha) // s3)  # ceil(-s2*alpha/s3)
         num2 = t * (alpha - e * u) + e * u2 * t3
@@ -117,14 +124,27 @@ def _column_bounds(p: HerzogPresentation, e: int) -> Iterator[tuple[int, int]]:
         yield max(lo1, lo2), b_hi
 
 
-def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
+def _column_bound(p: HerzogPresentation, e: int, alpha: int) -> tuple[int, int]:
+    """(b_lo, b_hi) of the single column alpha, by the formula of `_column_bounds`."""
+    return next(_column_bounds(p, e, (alpha,)))
+
+
+def enumerate_points(
+    p: HerzogPresentation, e: int = 1, depth: int | None = None
+) -> list[LatticePoint]:
     """Integer points of e*D, ordered by (alpha ascending, beta descending).
 
     The ordering is frozen so that constraint matrices, witnesses and
     regression values are reproducible bit for bit.  (0, 0) is always first.
+    With ``depth``, each column stops after its first ``depth`` points in
+    that order, (alpha, b_hi) down to (alpha, b_hi - depth + 1): witness
+    extraction needs no more than the first u points of a column (see
+    `symrees.witness`).
     """
     points = []
     for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
+        if depth is not None:
+            b_lo = max(b_lo, b_hi - depth + 1)
         points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
     return points
 

@@ -17,8 +17,12 @@ When such a witness exists the ring is finitely generated; otherwise not
 
 The verdict, the rank and the piece dimensions are decided in an equivalent
 finite-difference column basis built from the column bounds alone.  Only
-witness extraction builds the lattice points: the canonical witness is
-defined by the reduced row echelon form in point order.
+witness extraction builds lattice points, because the canonical witness is
+defined by the reduced row echelon form in point order; it keeps the first
+min(l_alpha, u) points of each column, at most u^2 + 1 in all, which gives
+the same rank, existence and witness as every point of the triangle (see
+``_witness_test``).  The re-checks of an emitted witness, membership in the
+triangle and ``shift_membership_test``, run in integers.
 """
 
 from __future__ import annotations
@@ -196,23 +200,49 @@ def _witness_test(p: HerzogPresentation, want_witness: bool):
     (R the RREF, j the (0, 0) column), whose entry at a free column is
     nonzero exactly when that column's canonical kernel basis vector is
     nonzero at (0, 0).  So the constant term is forced to 0 iff the reduced
-    guard vanishes, and otherwise its first nonzero column gives the
+    guard vanishes, and otherwise its first nonzero column fc gives the
     canonical witness.
+
+    The point system is built on the column prefixes only: column alpha
+    contributes its first min(l_alpha, u) points in point order, at most
+    u^2 + 1 columns in all whatever the triangle's area.  Rank, witness
+    existence and the witness are those of the full point system:
+
+    * For fixed alpha, the entry C(alpha, k) * C(beta, l) of every row is a
+      polynomial in beta of degree l < u.  The prefix holds u consecutive
+      betas, so by Newton interpolation every later point of the column is
+      an integer combination of the prefix columns: a free column.
+    * A column that is a combination of earlier columns is zero below the
+      current rank when elimination reaches it, so Bareiss finds no pivot
+      there and moves on.  Deleting such columns changes no step: pivots,
+      rank and the echelon rows at the kept columns stay the same.
+    * The reduced guard is a multiple of the unit (zero off alpha = 0) plus
+      a combination of the rows, so on each column alpha >= 1 it is again a
+      polynomial of degree < u in beta (up to a rescaling that keeps its
+      zero pattern).  Point order reaches a column's later points only
+      after its first u.  If fc is not among those, the guard is zero there
+      at that moment: zero at each pivot by construction, and zero at each
+      free column, or that column would be fc.  Vanishing at u points, it
+      vanishes on the whole column, and the later pivot rows, zero before
+      their pivot column, leave it so.
+    * Hence fc lies in a prefix, and the witness, supported on the pivots
+      and fc, is the ``kernel_vector(fc)`` of the full system.
     """
     if not want_witness:
         rank, forced = _fd_decision(p, 1, p.u)
         return count_points(p, 1), rank, not forced, None
-    points = enumerate_points(p, 1)
+    n_points = count_points(p, 1)
+    points = enumerate_points(p, 1, p.u)
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
     reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
     fc = next((c for c, x in enumerate(reduced.guard) if x), None)
     if fc is None:
-        return len(points), reduced.rank, False, None
+        return n_points, reduced.rank, False, None
     vec = reduced.kernel_vector(fc)
     coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
-    return len(points), reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
+    return n_points, reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
 
 
 def extract_witness(p: HerzogPresentation) -> WitnessElement:
@@ -236,7 +266,9 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     expanded by exact binomials and membership holds iff every coefficient
     of total degree below n vanishes.  A nonzero scalar does not change
     membership either, so the coefficients are cleared of denominators once
-    and the sums run over integers.
+    and the sums run over integers.  The coefficient of s^i r^j is
+    sum_alpha C(alpha, i) * A_alpha[j], where A_alpha[j] sums c * C(beta, j)
+    over the terms of abscissa alpha; the A_alpha are summed first.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -246,15 +278,16 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     shift_a = max(0, -min(al for al, _, _ in terms))
     shift_b = max(0, -min(be for _, be, _ in terms))
     scale = math.lcm(*(c.denominator for _, _, c in terms))
-    terms = [
-        (al + shift_a, be + shift_b, c.numerator * (scale // c.denominator))
-        for al, be, c in terms
-    ]
-    comb_b = {be: [math.comb(be, j) for j in range(n)] for _, be, _ in terms}
+    column_sums: dict[int, list[int]] = {}
+    for al, be, c in terms:
+        weight = c.numerator * (scale // c.denominator)
+        term = [weight * math.comb(be + shift_b, j) for j in range(n)]
+        acc = column_sums.get(al + shift_a)
+        column_sums[al + shift_a] = term if acc is None else [x + y for x, y in zip(acc, term)]
     for i in range(n):
-        weighted = [(c * math.comb(al, i), comb_b[be]) for al, be, c in terms]
+        weighted = [(math.comb(al, i), acc) for al, acc in column_sums.items()]
         for j in range(n - i):
-            if sum(w * row[j] for w, row in weighted) != 0:
+            if sum(w * acc[j] for w, acc in weighted) != 0:
                 return False
     return True
 

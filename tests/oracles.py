@@ -5,10 +5,12 @@ with: a dense rational matrix with rank, row-space and kernel queries, a
 Fraction reduced row echelon form (unique, so it pins down ranks, pivots
 and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
 matrix-vector products, the shift-substitution membership test with
-Fraction coefficients, the derivative system over the lattice points in its
-falling-factorial (spec) and binomial-scaled forms, the GK interval counts
-in Fraction arithmetic, a Fraction front end to the integer interval count,
-and the ``dataclasses.asdict`` record encoding.
+Fraction coefficients and term by term over integers, the witness
+extraction over every lattice point of the triangle, the derivative system
+over the lattice points in its falling-factorial (spec) and binomial-scaled
+forms, the GK interval counts in Fraction arithmetic, a Fraction front end
+to the integer interval count, and the ``dataclasses.asdict`` record
+encoding.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from symrees.lattice import LatticePoint, enumerate_points, interval_count
 from symrees.linalg import Echelon, _echelon
-from symrees.witness import _scaled_rows, derivative_orders
+from symrees.witness import WitnessElement, _scaled_rows, derivative_orders
 
 Rat = int | Fraction
 
@@ -124,6 +126,27 @@ def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
     unit[points.index(LatticePoint(0, 0))] = 1
     reduced = _echelon(_scaled_rows(points, n), len(points), unit)
     return reduced.rank, not any(reduced.guard)
+
+
+def point_system_witness(p) -> tuple[int, int, bool, WitnessElement | None]:
+    """(points, rank, witness exists, witness or None) over every lattice point of D.
+
+    The route witness extraction took before the column prefixes: one
+    elimination of the scaled (e=1, n=u) rows over all points of D, with the
+    unit vector at (0, 0) as the guard, and the canonical kernel vector of
+    the guard's first nonzero column, normalized at (0, 0).
+    """
+    points = enumerate_points(p, 1)
+    j = points.index(LatticePoint(0, 0))
+    unit = [0] * len(points)
+    unit[j] = 1
+    reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
+    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
+    if fc is None:
+        return len(points), reduced.rank, False, None
+    vec = reduced.kernel_vector(fc)
+    coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
+    return len(points), reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -256,6 +279,33 @@ def shift_membership_fraction(coefficients: dict, n: int) -> bool:
                 for al, be, c in terms
             )
             if total != 0:
+                return False
+    return True
+
+
+def shift_membership_per_term(coefficients: dict, n: int) -> bool:
+    """Membership of phi in (v-1, w-1)^n, over integers, one binomial product per term.
+
+    The denominators are cleared once, as in ``shift_membership_test``, but
+    each coefficient of s^i r^j is summed term by term.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    terms = [(int(al), int(be), c) for (al, be), c in coefficients.items() if c != 0]
+    if not terms:
+        return True
+    shift_a = max(0, -min(al for al, _, _ in terms))
+    shift_b = max(0, -min(be for _, be, _ in terms))
+    scale = math.lcm(*(c.denominator for _, _, c in terms))
+    terms = [
+        (al + shift_a, be + shift_b, c.numerator * (scale // c.denominator))
+        for al, be, c in terms
+    ]
+    comb_b = {be: [math.comb(be, j) for j in range(n)] for _, be, _ in terms}
+    for i in range(n):
+        weighted = [(c * math.comb(al, i), comb_b[be]) for al, be, c in terms]
+        for j in range(n - i):
+            if sum(w * row[j] for w, row in weighted) != 0:
                 return False
     return True
 
