@@ -9,8 +9,11 @@ reduces to zero) and kernel vectors (one exact back-substitution per free
 column) are all read from its echelon form.
 The pivot columns of any echelon form are those of the unique reduced row
 echelon form, so the kernel basis read here is the canonical one.  Entries
-are plain Python ints: on the largest witness systems of the benchmark pools
-no elimination entry exceeds 56 bits.
+are plain Python ints.  With the rows in the Lagrange basis of
+``witness._system_rows``, the largest entry stored during elimination is
+41 bits on the witness systems of the witness-extract benchmark pool and
+60 bits on the finite-difference systems of the rank-deep pool; the witness
+system of a rank-deep pool triple reaches 87 bits.
 """
 
 from __future__ import annotations

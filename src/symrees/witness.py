@@ -5,9 +5,13 @@ In characteristic 0 a Laurent polynomial phi(v, w) lies in the ideal
 (1, 1).  On the span of the triangle's lattice points this is a linear
 system with one row per derivative order (k, l), k + l < n, and entries
 ff(alpha, k) * ff(beta, l) (falling factorials).  The graded piece of the
-n-th symbolic power in degree e*a*b is its kernel.  The package builds it
-with each (k, l) row divided by k! l!, which changes neither the kernel nor
-the row space.
+n-th symbolic power in degree e*a*b is its kernel.  For each l, the rows
+of order l in w span, as functions of alpha, the polynomials of degree
+< n-l times C(beta, l); the package eliminates them in the integer Lagrange
+basis at the nodes alpha = 0..n-l-1 (``_system_rows``), a unimodular change
+of basis from C(alpha, k) that keeps the row space, the rank, the kernel and
+the reduced row echelon form, and makes each row zero on the node columns
+but one.
 
 The classification question reduces to: does the kernel of the (e=1, n=u)
 system contain a vector with nonzero coordinate at (0, 0)?  Equivalently,
@@ -16,13 +20,15 @@ When such a witness exists the ring is finitely generated; otherwise not
 (always under the validated hypotheses).
 
 The verdict, the rank and the piece dimensions are decided in an equivalent
-finite-difference column basis built from the column bounds alone.  Only
-witness extraction builds lattice points, because the canonical witness is
-defined by the reduced row echelon form in point order; it keeps the first
-min(l_alpha, u) points of each column, at most u^2 + 1 in all, which gives
-the same rank, existence and witness as every point of the triangle (see
-``_witness_test``).  The re-checks of an emitted witness, membership in the
-triangle and ``shift_membership_test``, run in integers.
+finite-difference column basis built from the column bounds alone, and so
+is a witness request on a triple where GK holds, since GK forbids a witness.
+Otherwise witness extraction builds lattice points, because the canonical
+witness is defined by the reduced row echelon form in point order; it keeps
+the first min(l_alpha, u) points of each column, at most u^2 + 1 in all,
+which gives the same rank, existence and witness as every point of the
+triangle (see ``_witness_test``).  Both column sets go through the one row
+builder.  The re-checks of an emitted witness, membership in the triangle
+and ``shift_membership_test``, run in integers.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter, mul
 
 from .criteria import EuReport, GkReport, InternalConsistencyError, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
@@ -72,56 +80,105 @@ def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     return table
 
 
-def _scaled_rows(points, n: int) -> list[list[int]]:
-    """Nonzero rows of the row-rescaled constraint system, as fresh int lists.
+def _lagrange_table(top: int, n: int) -> list[list[list[int]]]:
+    """Integer Lagrange values: table[m][i][alpha] = L_i^(m)(alpha), 1 <= m <= n, i < m.
 
-    Entry C(alpha, k) * C(beta, l): dividing the (k, l) row by k! l! leaves
-    rank, kernel and row space unchanged but keeps the elimination entries
-    much smaller.  Witness extraction uses this form.  All-zero rows are
-    dropped.
+    L_i^(m) is the Lagrange basis of the polynomials of degree < m at the
+    nodes 0..m-1: delta(i, alpha) for alpha < m, and
+    (-1)^(m-1-i) * C(alpha, i) * C(alpha-i-1, m-1-i) for alpha >= m.  Each
+    list covers at least alpha = 0..top.  The binomials come from one Pascal
+    table, kept by columns: column[k][x] = C(x, k) for x <= top, k < n.
     """
-    binom_a = _binom_table({al for al, _ in points}, n)
+    column = [[1] * (top + 1)]
+    for _ in range(1, n):
+        column.append([0] + list(accumulate(column[-1][:top])))
+    signed = [c if k % 2 == 0 else [-x for x in c] for k, c in enumerate(column)]
+    table: list[list[list[int]]] = [[]]
+    for m in range(1, n + 1):
+        at_m = []
+        for i in range(m):
+            k = m - 1 - i
+            nodes = [0] * m
+            nodes[i] = 1
+            # alpha = m..top: C(alpha, i) * (-1)^k C(alpha-1-i, k)
+            at_m.append(nodes + list(map(mul, column[i][m:], signed[k][k:top - i])))
+        table.append(at_m)
+    return table
+
+
+def _system_rows(cols: list[tuple[int, list[int]]], n: int) -> list[list[int]]:
+    """Nonzero rows of the order-n derivative system in the interpolating row basis.
+
+    A column is (alpha, f): f[l] is its beta factor in the rows of order l
+    in w, C(beta, l) for a point (alpha, beta).  Row (i, l), i + l < n, has
+    entry L_i^(n-l)(alpha) * f[l], for L_i^(m) the Lagrange basis at the
+    nodes 0..m-1 (``_lagrange_table``).  The rows C(alpha, k) * f[l],
+    k < n-l, of the binomial-scaled system (the order-(k, l) derivative at
+    (1, 1) divided by k! l!) span the same space: both sets are integer
+    bases of the polynomials of degree < n-l in alpha, related by a
+    unimodular change of basis.  So the rank, the row-space membership and
+    the reduced row echelon form, and with them the verdict and the
+    canonical witness, are those of the derivative system.  Row (i, l) is
+    zero on the columns with alpha < n-l except alpha = i.  All-zero rows
+    are dropped, and the rows are sorted by nonzero count, sparsest first
+    (stable), which keeps the elimination short.
+    """
+    alphas = [al for al, _ in cols]
+    ncols = len(cols)
+    lagrange = _lagrange_table(max(alphas), n)
+    rows = []
+    for l in range(n):
+        factors = [f[l] for _, f in cols]
+        first = next(filter(None, factors), 0)
+        if not first:
+            continue
+        start = factors.index(first)  # leading zero columns stay zero
+        lead = [0] * start
+        tail = factors[start:]
+        # the spare index keeps a tuple when one column is left; map stops at tail
+        gather = itemgetter(*alphas[start:], 0)
+        for values in lagrange[n - l]:
+            row = lead + list(map(mul, tail, gather(values)))
+            zeros = row.count(0)
+            if zeros < ncols:
+                rows.append((zeros, row))
+    rows.sort(key=itemgetter(0), reverse=True)
+    return [row for _, row in rows]
+
+
+def _point_columns(points: list[LatticePoint], n: int) -> list[tuple[int, list[int]]]:
+    """The (alpha, beta factor) columns of the order-n point system: f[l] = C(beta, l)."""
     binom_b = _binom_table({be for _, be in points}, n)
-    cols = [(binom_a[al], binom_b[be]) for al, be in points]
-    rows = ([ca[k] * cb[l] for ca, cb in cols] for (k, l) in derivative_orders(n))
-    return [row for row in rows if any(row)]
+    return [(al, binom_b[be]) for al, be in points]
 
 
-def _fd_rows(p: HerzogPresentation, e: int, n: int) -> tuple[list[list[int]], int]:
-    """Nonzero rows and column count of the (e, n) system in the finite-difference basis.
+def _fd_columns(p: HerzogPresentation, e: int, n: int) -> list[tuple[int, list[int]]]:
+    """The (alpha, beta factor) columns of the (e, n) system in the finite-difference basis.
 
     Column alpha of e*D holds the points (alpha, b_lo..b_hi), l_alpha of
     them; their monomials w^beta span the same space as w^b_lo (w-1)^j,
     j < l_alpha, by a unimodular triangular change of basis, so the rank is
     that of the point system.  Under v = 1+s, w = 1+r the column (alpha, j)
-    has entry C(alpha, k) * C(b_lo, l-j) in row (k, l), zero when l < j;
-    columns with j >= n are zero and left out.  Column alpha = 0 is the
-    single point (0, 0), so the unit vector there is the same in both bases.
-    Column order: (0, 0), then j descending, alpha ascending, which keeps the
-    elimination short; row (k, l) is zero on the leading columns with j > l.
+    has beta factor C(b_lo, l-j) in the rows of order l in w, zero when
+    l < j; columns with j >= n are zero and left out.  Column alpha = 0 is
+    the single point (0, 0), so the unit vector there is the same in both
+    bases.  Column order: (0, 0), then j descending, alpha ascending, which
+    keeps the elimination short.
     """
     groups = [
         (alpha, b_lo, min(b_hi - b_lo + 1, n))
         for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
         if b_hi >= b_lo
     ]
-    binom_a = _binom_table({al for al, _, _ in groups}, n)
     binom_b = _binom_table({b_lo for _, b_lo, _ in groups}, n)
-    cols = []  # the columns after (0, 0)
-    skip = [0] * n  # skip[l]: leading columns with j > l
+    cols = [(0, binom_b[0])]  # (0, 0): 1 in the rows of order 0 in w
     for j in range(max(width for _, _, width in groups) - 1, -1, -1):
-        skip[j] = len(cols)
         cols += [
-            (binom_a[al], [0] * j + binom_b[b_lo][:n - j])
+            (al, [0] * j + binom_b[b_lo][:n - j])
             for al, b_lo, width in groups
             if al and j < width
         ]
-    # column (0, 0) holds C(0, k) * C(0, l): 1 in row (0, 0) only
-    rows = (
-        [int(k == l == 0)] + [0] * skip[l] + [ca[k] * cb[l] for ca, cb in cols[skip[l]:]]
-        for k, l in derivative_orders(n)
-    )
-    return [row for row in rows if any(row)], 1 + len(cols)
+    return cols
 
 
 def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
@@ -130,8 +187,8 @@ def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
     The guard is the unit at new column 0, which is (0, 0); the constant term
     is forced iff it reduces to zero.
     """
-    rows, ncols = _fd_rows(p, e, n)
-    reduced = _echelon(rows, ncols, [1] + [0] * (ncols - 1))
+    cols = _fd_columns(p, e, n)
+    reduced = _echelon(_system_rows(cols, n), len(cols), [1] + [0] * (len(cols) - 1))
     return reduced.rank, not any(reduced.guard)
 
 
@@ -208,8 +265,8 @@ def _witness_test(p: HerzogPresentation, want_witness: bool):
     u^2 + 1 columns in all whatever the triangle's area.  Rank, witness
     existence and the witness are those of the full point system:
 
-    * For fixed alpha, the entry C(alpha, k) * C(beta, l) of every row is a
-      polynomial in beta of degree l < u.  The prefix holds u consecutive
+    * For fixed alpha, the entry L_i^(u-l)(alpha) * C(beta, l) of every row
+      is a polynomial in beta of degree l < u.  The prefix holds u consecutive
       betas, so by Newton interpolation every later point of the column is
       an integer combination of the prefix columns: a free column.
     * A column that is a combination of earlier columns is zero below the
@@ -236,7 +293,7 @@ def _witness_test(p: HerzogPresentation, want_witness: bool):
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
-    reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
+    reduced = _echelon(_system_rows(_point_columns(points, p.u), p.u), len(points), unit)
     fc = next((c for c, x in enumerate(reduced.guard) if x), None)
     if fc is None:
         return n_points, reduced.rank, False, None
@@ -361,7 +418,9 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
             gk=gk,
         )
 
-    n_points, rank, exists, witness = _witness_test(pres, want_witness)
+    # GK forbids a witness, so the finite-difference decision is enough there;
+    # the cross-check below still runs on it
+    n_points, rank, exists, witness = _witness_test(pres, want_witness and not gk.holds)
     if eu.holds and not exists:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:

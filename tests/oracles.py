@@ -8,7 +8,7 @@ matrix-vector products, the shift-substitution membership test with
 Fraction coefficients and term by term over integers, the witness
 extraction over every lattice point of the triangle, the derivative system
 over the lattice points in its falling-factorial (spec) and binomial-scaled
-forms, the GK interval counts in Fraction arithmetic, a Fraction front end
+forms (the package eliminates a Lagrange row basis instead), the GK interval counts in Fraction arithmetic, a Fraction front end
 to the integer interval count, and the ``dataclasses.asdict`` record
 encoding.
 """
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from symrees.lattice import LatticePoint, enumerate_points, interval_count
 from symrees.linalg import Echelon, _echelon
-from symrees.witness import WitnessElement, _scaled_rows, derivative_orders
+from symrees.witness import WitnessElement, _binom_table, derivative_orders
 
 Rat = int | Fraction
 
@@ -108,9 +108,25 @@ class QMatrix:
         return basis
 
 
+def scaled_rows(points, n: int) -> list[list[int]]:
+    """Nonzero rows of the binomial-scaled point system, as fresh int lists.
+
+    Entry C(alpha, k) * C(beta, l) in row (k, l), in ``derivative_orders``
+    order: the (k, l) derivative row divided by k! l!, which leaves rank,
+    kernel and row space unchanged.  The package eliminates the same row
+    space in a Lagrange basis in alpha; this is the independent binomial
+    form.  All-zero rows are dropped.
+    """
+    binom_a = _binom_table({al for al, _ in points}, n)
+    binom_b = _binom_table({be for _, be in points}, n)
+    cols = [(binom_a[al], binom_b[be]) for al, be in points]
+    rows = ([ca[k] * cb[l] for ca, cb in cols] for (k, l) in derivative_orders(n))
+    return [row for row in rows if any(row)]
+
+
 def scaled_system(points, n: int) -> QMatrix:
-    """The binomial-scaled point system of ``_scaled_rows``, labelled by the points."""
-    return QMatrix(_scaled_rows(points, n), col_labels=list(points))
+    """The binomial-scaled point system of ``scaled_rows``, labelled by the points."""
+    return QMatrix(scaled_rows(points, n), col_labels=list(points))
 
 
 def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
@@ -124,7 +140,7 @@ def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
     points = enumerate_points(p, e)
     unit = [0] * len(points)
     unit[points.index(LatticePoint(0, 0))] = 1
-    reduced = _echelon(_scaled_rows(points, n), len(points), unit)
+    reduced = _echelon(scaled_rows(points, n), len(points), unit)
     return reduced.rank, not any(reduced.guard)
 
 
@@ -140,7 +156,7 @@ def point_system_witness(p) -> tuple[int, int, bool, WitnessElement | None]:
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
-    reduced = _echelon(_scaled_rows(points, p.u), len(points), unit)
+    reduced = _echelon(scaled_rows(points, p.u), len(points), unit)
     fc = next((c for c, x in enumerate(reduced.guard) if x), None)
     if fc is None:
         return len(points), reduced.rank, False, None

@@ -8,6 +8,7 @@ rank and the same answer to "is the constant term forced".
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import symrees.lattice
 import symrees.witness
-from oracles import point_system_decision
+from oracles import point_system_decision, point_system_witness
 from symrees.lattice import _column_bounds, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
@@ -25,8 +26,9 @@ from symrees.presentation import (
 )
 from symrees.scan import ScanJob, iter_triples
 from symrees.witness import (
+    _fd_columns,
     _fd_decision,
-    _fd_rows,
+    _system_rows,
     classify,
     derivative_orders,
     huneke_witness_exists,
@@ -140,7 +142,8 @@ def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
         for e in (1, 2):
             lengths = [b_hi - b_lo + 1 for b_lo, b_hi in _column_bounds(p, e) if b_hi >= b_lo]
             for n in (1, 2, p.u, e * p.u + 1):
-                rows, ncols = _fd_rows(p, e, n)
+                cols = _fd_columns(p, e, n)
+                rows, ncols = _system_rows(cols, n), len(cols)
                 assert ncols <= sum(min(ell, n) for ell in lengths), (p.triple, e, n)
                 assert len(rows) <= len(derivative_orders(n))
                 assert all(len(row) == ncols for row in rows)
@@ -165,3 +168,27 @@ def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):
     ]
     assert got == want
     assert any(v.noetherian for v, _, _ in got) and not all(v.noetherian for v, _, _ in got)
+
+
+def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, validated_40):
+    # GK forbids a witness, so classify(want_witness=True) decides GK triples
+    # in the finite-difference basis and builds no lattice point
+    gk = [p for p in validated_40 if classify(p.triple).gk.holds]
+    assert len(gk) > 100
+    want = [point_system_witness(p) for p in gk]
+
+    def no_points(*args):
+        raise AssertionError("lattice point built for a GK triple")
+
+    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    for p, (points, rank, exists, witness) in zip(gk, want):
+        v = classify(p.triple, want_witness=True)
+        assert not exists and witness is None, p.triple
+        assert v == replace(
+            classify(p.triple),
+            points=points,
+            dim_piece_u=points - rank,
+            witness_exists=exists,
+            noetherian=exists,
+            witness=witness,
+        ), p.triple

@@ -28,7 +28,8 @@ from symrees.witness import (
     huneke_witness_exists,
     piece_dimension,
     shift_membership_test,
-    _scaled_rows,
+    _point_columns,
+    _system_rows,
 )
 
 
@@ -265,7 +266,8 @@ def test_lazy_echelon_matches_eager_on_witness_systems(validated_30):
         points = enumerate_points(p, 1)
         unit = [0] * len(points)
         unit[points.index(LatticePoint(0, 0))] = 1
-        assert_lazy_echelon_matches_eager(_scaled_rows(points, p.u), len(points), unit)
+        rows = _system_rows(_point_columns(points, p.u), p.u)
+        assert_lazy_echelon_matches_eager(rows, len(points), unit)
 
 
 def _oracle_witness(p):
@@ -371,14 +373,20 @@ def counting(calls, name, fn):
 
 
 def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
-    # the witness comes from the points and system the verdict was decided on
+    # the witness comes from the points and system the verdict was decided on;
+    # where GK forbids a witness, the finite-difference system alone decides
     sample = validated_30[::9]
     calls = Counter()
-    for name in ["enumerate_points", "_scaled_rows", "_echelon"]:
+    for name in ["enumerate_points", "_system_rows", "_echelon"]:
         monkeypatch.setattr(symrees.witness, name, counting(calls, name, getattr(symrees.witness, name)))
-    verdicts = [classify(p.triple, want_witness=True) for p in sample]
-    n = len(sample)
-    assert calls == {"enumerate_points": n, "_scaled_rows": n, "_echelon": n}
+    verdicts = []
+    for p in sample:
+        calls.clear()
+        verdicts.append(classify(p.triple, want_witness=True))
+        points_built = 0 if verdicts[-1].gk.holds else 1
+        got = (calls["enumerate_points"], calls["_system_rows"], calls["_echelon"])
+        assert got == (points_built, 1, 1), p.triple
+    assert any(v.gk.holds for v in verdicts) and not all(v.gk.holds for v in verdicts)
     monkeypatch.undo()
     with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
     assert with_witness
