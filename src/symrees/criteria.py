@@ -16,11 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from .lattice import column_counts, compute_nm, interval_count
-from .presentation import HerzogPresentation
-
-
-class InternalConsistencyError(AssertionError):
-    """A proved implication or equivalence failed on a validated triple."""
+from .presentation import HerzogPresentation, InternalConsistencyError
 
 
 @dataclass(frozen=True)

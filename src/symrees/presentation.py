@@ -10,6 +10,10 @@ semigroup spanned by the other two weights.  This module computes those
 exponents and checks the hypotheses under which the classifier operates:
 pairwise coprimality, minimal generation by three elements, and the
 negative-curve inequality u^2 c < ab.
+
+The presentation is built in one step from the minimal-j witnesses of
+``_minimal_multiple``; ``compute_presentation`` proves that they are the
+exponents.  Nothing is searched.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ class NotCoprimeError(ValueError):
 
 class NotThreeGeneratedError(ValueError):
     """The curve ideal is not minimally generated by three binomials."""
+
+
+class InternalConsistencyError(AssertionError):
+    """A proved implication or equivalence failed on a validated triple."""
 
 
 @dataclass(frozen=True)
@@ -62,24 +70,13 @@ def representable(M: int, p: int, q: int) -> tuple[int, int] | None:
     return (M - j * q) // p, j
 
 
-def _all_representations(M: int, p: int, q: int) -> list[tuple[int, int]]:
-    first = representable(M, p, q)
-    if first is None:
-        return []
-    out = []
-    i, j = first
-    while i >= 0:
-        out.append((i, j))
-        i -= q
-        j += p
-    return out
-
-
 def _minimal_multiple(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
     """Least k >= 1 with k*w in N0*p + N0*q, plus the minimal-j witness.
 
     The witness is what `representable(k*w, p, q)` returns: its minimal j is
-    k*w*q^{-1} mod p, advanced here by one addition per k.
+    k*w*q^{-1} mod p, advanced here by one addition per k.  For a
+    three-generated triple it is the pair of exponents of the generator of
+    degree k*w (see ``compute_presentation``).
     """
     # every integer beyond the Frobenius bound pq - p - q is representable
     cap = max(1, (p * q - p - q) // w + 1)
@@ -113,7 +110,6 @@ class HerzogPresentation:
     t3: int
     u1: int
     u2: int
-    from_fallback_witness: bool = False
 
     @property
     def a(self) -> int:
@@ -159,52 +155,44 @@ class HerzogPresentation:
         )
 
 
-def _try_build(triple, s, t, u, wit_s, wit_t, wit_u, fallback):
-    t1, u1 = wit_s
-    s2, u2 = wit_t
-    s3, t3 = wit_u
-    if min(t1, u1, s2, u2, s3, t3) < 1:
-        return None
-    try:
-        return HerzogPresentation(
-            triple, s, t, u, s2, s3, t1, t3, u1, u2, from_fallback_witness=fallback
-        )
-    except ValueError:
-        return None
-
-
 def compute_presentation(triple: CurveTriple) -> HerzogPresentation:
     """Compute the minimal binomial exponents of p(a, b, c).
 
     Raises NotCoprimeError unless a, b, c are pairwise coprime and
-    NotThreeGeneratedError when the ideal is a complete intersection
-    (some minimal multiple is the weight itself or an exponent vanishes).
+    NotThreeGeneratedError when the ideal is a complete intersection, which
+    for pairwise coprime weights happens exactly when s, t or u is 1.
+
+    Otherwise the minimal-j witnesses of ``_minimal_multiple`` are the
+    exponents.  By Herzog (1970) the ideal is then minimally generated by
+    three binomials with all six exponents >= 1, where s = s2 + s3,
+    t = t1 + t3, u = u1 + u2; so u1 < u.  The minimal-j witness (t1', u1')
+    of s*a over (b, c) has u1' <= u1, and subtracting the two
+    representations gives (u1 - u1')*c = (t1' - t1)*b, so b divides
+    u1 - u1' (gcd(b, c) = 1).  Since b*c lies in N0*b, u <= b, and
+    0 <= u1 - u1' < u <= b forces u1' = u1, t1' = t1.  The same argument
+    with u2 < u <= a gives (s2, u2) from t*b over (a, c), and with t3 < t <= a
+    gives (s3, t3) from u*c over (a, b).  ``HerzogPresentation`` re-checks
+    every identity; a failure here would contradict the theorem and raises
+    InternalConsistencyError.
     """
     if not triple.pairwise_coprime():
         raise NotCoprimeError(f"{triple} is not pairwise coprime")
     a, b, c = triple.a, triple.b, triple.c
-    s, wit_s = _minimal_multiple(a, b, c)
+    s, (t1, u1) = _minimal_multiple(a, b, c)
     if s < 2:
         raise NotThreeGeneratedError(f"{triple}: s = 1 (x - y^i z^j is a generator)")
-    t, wit_t = _minimal_multiple(b, a, c)
+    t, (s2, u2) = _minimal_multiple(b, a, c)
     if t < 2:
         raise NotThreeGeneratedError(f"{triple}: t = 1 (y - x^i z^j is a generator)")
-    u, wit_u = _minimal_multiple(c, a, b)
+    u, (s3, t3) = _minimal_multiple(c, a, b)
     if u < 2:
         raise NotThreeGeneratedError(f"{triple}: u = 1 (z - x^i y^j is a generator)")
-    pres = _try_build(triple, s, t, u, wit_s, wit_t, wit_u, fallback=False)
-    if pres is not None:
-        return pres
-    # the minimal-j witnesses were inconsistent: try every representation
-    for ws in _all_representations(s * a, b, c):
-        for wt in _all_representations(t * b, a, c):
-            for wu in _all_representations(u * c, a, b):
-                pres = _try_build(triple, s, t, u, ws, wt, wu, fallback=True)
-                if pres is not None:
-                    return pres
-    raise NotThreeGeneratedError(
-        f"{triple}: no consistent exponent tuple among the representations"
-    )
+    try:
+        return HerzogPresentation(triple, s, t, u, s2, s3, t1, t3, u1, u2)
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            f"{triple}: the minimal-j witnesses are not a Herzog presentation"
+        ) from exc
 
 
 @dataclass(frozen=True)

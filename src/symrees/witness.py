@@ -39,13 +39,14 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter, mul
 
-from .criteria import EuReport, GkReport, InternalConsistencyError, check_eu, check_gk
+from .criteria import EuReport, GkReport, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
 from .linalg import _echelon
 from .presentation import (
     AssumptionReport,
     CurveTriple,
     HerzogPresentation,
+    InternalConsistencyError,
     NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
@@ -205,20 +206,19 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     return points - _fd_decision(p, e, n)[0] if n else points
 
 
-def _require_assumptions(p: HerzogPresentation) -> AssumptionReport:
-    report = validate_assumptions(p)
-    if not report.all_hold:
-        raise AssumptionViolationError(
-            f"hypotheses fail for {p.triple}: coprime={report.pairwise_coprime}, "
-            f"negative_curve={report.negative_curve_iii}"
-        )
-    return report
+def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
+    verdict = classify(p.triple, want_witness=want_witness)
+    if verdict.noetherian is INAPPLICABLE:
+        raise AssumptionViolationError(f"hypotheses fail for {p.triple}: {verdict.reason}")
+    return verdict
 
 
 def huneke_witness_exists(p: HerzogPresentation) -> bool:
-    """Does some element of the (e=1, n=u) kernel have nonzero (0,0) term?"""
-    _require_assumptions(p)
-    return _witness_test(p, want_witness=False)[2]
+    """Does some element of the (e=1, n=u) kernel have nonzero (0,0) term?
+
+    Decided by ``classify``, with its hypothesis gate and cross-checks.
+    """
+    return _applicable_verdict(p, want_witness=False).witness_exists
 
 
 @dataclass(frozen=True)
@@ -306,10 +306,11 @@ def extract_witness(p: HerzogPresentation) -> WitnessElement:
     """Deterministic witness with coefficient 1 at (0, 0).
 
     Takes the first kernel basis vector (in the frozen free-column order)
-    with nonzero constant coordinate and rescales it.
+    with nonzero constant coordinate and rescales it.  Goes through
+    ``classify``, so a triple where GK holds is refused without building
+    the point system.
     """
-    _require_assumptions(p)
-    witness = _witness_test(p, want_witness=True)[3]
+    witness = _applicable_verdict(p, want_witness=True).witness
     if witness is None:
         raise NoWitnessError(f"kernel of the witness system for {p.triple} forces the constant term")
     return witness
@@ -393,14 +394,13 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
     Cross-checks the proved implications on the way (EU forces a witness,
     GK forbids one) and raises InternalConsistencyError if they ever fail.
     """
-    coprime = triple.pairwise_coprime()
     try:
         pres = compute_presentation(triple)
     except NotCoprimeError:
         report = AssumptionReport(False, False, False)
         return _inapplicable(triple, report, "weights are not pairwise coprime")
-    except NotThreeGeneratedError:
-        report = AssumptionReport(coprime, False, False)
+    except NotThreeGeneratedError:  # raised only after the coprimality test
+        report = AssumptionReport(True, False, False)
         return _inapplicable(
             triple, report, "curve ideal is not minimally generated by three binomials"
         )

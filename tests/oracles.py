@@ -9,8 +9,8 @@ Fraction coefficients and term by term over integers, the witness
 extraction over every lattice point of the triangle, the derivative system
 over the lattice points in its falling-factorial (spec) and binomial-scaled
 forms (the package eliminates a Lagrange row basis instead), the GK interval counts in Fraction arithmetic, a Fraction front end
-to the integer interval count, and the ``dataclasses.asdict`` record
-encoding.
+to the integer interval count, the ``dataclasses.asdict`` record
+encoding, and every representation of an integer by two coprime weights.
 """
 
 from __future__ import annotations
@@ -427,3 +427,25 @@ def asdict_record(record, *, with_timing: bool = True) -> dict:
     if not with_timing:
         del data["timing_ms"]
     return data
+
+
+def all_representations(M: int, p: int, q: int) -> list[tuple[int, int]]:
+    """Every (i, j) with i, j >= 0 and i*p + j*q = M, j ascending; gcd(p, q) = 1.
+
+    Starts from a Bezout pair of the extended Euclidean algorithm rather
+    than the package's modular inverse; consecutive solutions differ by
+    (-q, +p).
+    """
+    r0, r1, x0, x1 = p, q, 1, 0
+    while r1:
+        quo = r0 // r1
+        r0, r1, x0, x1 = r1, r0 - quo * r1, x1, x0 - quo * x1
+    if r0 != 1:
+        raise ValueError(f"weights {p}, {q} are not coprime")
+    y0 = (1 - x0 * p) // q  # x0*p + y0*q = 1, so y0 = q^{-1} mod p
+    out = []
+    j = M * y0 % p
+    while j * q <= M:
+        out.append(((M - j * q) // p, j))
+        j += p
+    return out

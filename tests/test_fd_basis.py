@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +30,10 @@ from symrees.witness import (
     _fd_columns,
     _fd_decision,
     _system_rows,
+    NoWitnessError,
     classify,
     derivative_orders,
+    extract_witness,
     huneke_witness_exists,
     piece_dimension,
 )
@@ -192,3 +195,18 @@ def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, valida
             noetherian=exists,
             witness=witness,
         ), p.triple
+
+
+def test_extract_witness_refuses_gk_triples_without_points(monkeypatch, validated_40):
+    # extract_witness goes through classify, which decides GK triples in the
+    # finite-difference basis
+    gk = [p for p in validated_40 if classify(p.triple).gk.holds]
+    assert len(gk) > 100
+
+    def no_points(*args):
+        raise AssertionError("lattice point built for a GK triple")
+
+    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    for p in gk:
+        with pytest.raises(NoWitnessError):
+            extract_witness(p)

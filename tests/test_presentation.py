@@ -1,7 +1,16 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import symrees.presentation
+from oracles import all_representations
+from symrees import criteria, witness
+from symrees.cli import main
 from symrees.presentation import (
     CurveTriple,
+    InternalConsistencyError,
     NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
@@ -49,6 +58,71 @@ def test_minimal_multiple_matches_per_k_search():
             assert _minimal_multiple(w, p, q) == minimal_multiple_by_scan(w, p, q), (w, p, q)
 
 
+def test_presentation_is_the_minimal_j_witnesses_up_to_60():
+    # not three-generated exactly when some minimal multiple is 1; otherwise
+    # the nine exponents are the per-k minimal-j witnesses, with no search
+    three_generated = 0
+    for a, b, c in iter_triples(ScanJob.upto(60)):
+        (s, (t1, u1)), (t, (s2, u2)), (u, (s3, t3)) = (
+            minimal_multiple_by_scan(a, b, c),
+            minimal_multiple_by_scan(b, a, c),
+            minimal_multiple_by_scan(c, a, b),
+        )
+        if 1 in (s, t, u):
+            with pytest.raises(NotThreeGeneratedError):
+                compute_presentation(CurveTriple(a, b, c))
+            continue
+        p = compute_presentation(CurveTriple(a, b, c))
+        got = (p.s, p.t1, p.u1, p.t, p.s2, p.u2, p.u, p.s3, p.t3)
+        assert got == (s, t1, u1, t, s2, u2, u, s3, t3), (a, b, c)
+        three_generated += 1
+    assert three_generated == 43686
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10**6), st.integers(2, 10**6), st.integers(2, 10**6))
+def test_generator_exponents_are_the_unique_bounded_representations(a, b, c):
+    # the uniqueness behind compute_presentation's proof: each generator
+    # degree has one representation with both coefficients positive and
+    # below the partner exponents
+    while math.gcd(a, b) != 1:
+        b += 1
+    while math.gcd(a * b, c) != 1:
+        c += 1
+    try:
+        p = compute_presentation(CurveTriple(a, b, c))
+    except NotThreeGeneratedError:
+        assume(False)
+    cases = [
+        (p.s * a, b, c, (p.t, p.u), (p.t1, p.u1)),
+        (p.t * b, a, c, (p.s, p.u), (p.s2, p.u2)),
+        (p.u * c, a, b, (p.s, p.t), (p.s3, p.t3)),
+    ]
+    for degree, p_w, q_w, (i_max, j_max), exponents in cases:
+        bounded = [
+            (i, j)
+            for i, j in all_representations(degree, p_w, q_w)
+            if 0 < i < i_max and 0 < j < j_max
+        ]
+        assert bounded == [exponents], (a, b, c, degree)
+
+
+def test_inconsistent_witness_is_an_internal_error(monkeypatch, capsys):
+    assert criteria.InternalConsistencyError is InternalConsistencyError
+    assert witness.InternalConsistencyError is InternalConsistencyError
+    real = _minimal_multiple
+
+    def skewed(w, p, q):
+        k, (i, j) = real(w, p, q)
+        return k, (i + 1, j)  # k*w != i*p + j*q
+
+    monkeypatch.setattr(symrees.presentation, "_minimal_multiple", skewed)
+    with pytest.raises(InternalConsistencyError):
+        compute_presentation(CurveTriple(8, 19, 9))
+    assert main(["classify", "8", "19", "9"]) == 4
+    assert "internal consistency failure" in capsys.readouterr().err
+
+
 KNOWN_PRESENTATIONS = {
     # triple -> (s, t1, u1, t, s2, u2, u, s3, t3)
     (8, 19, 9): (7, 2, 2, 3, 6, 1, 3, 1, 1),
@@ -64,7 +138,6 @@ def test_worked_example_presentations(triple, expected):
     assert (pres.s, pres.t1, pres.u1) == (s, t1, u1)
     assert (pres.t, pres.s2, pres.u2) == (t, s2, u2)
     assert (pres.u, pres.s3, pres.t3) == (u, s3, t3)
-    assert not pres.from_fallback_witness
 
 
 def test_family_base_triple_presentation():
@@ -95,16 +168,6 @@ def test_minimality_of_s_t_u_by_exhaustive_scan():
         assert scan_representable(k * 19, 8, 9) is None
     for k in range(1, pres.u):
         assert scan_representable(k * 9, 8, 19) is None
-
-
-def test_all_representations_complete():
-    from symrees.presentation import _all_representations
-
-    # 23 = 6*3 + 1*5 = 1*3 + 4*5
-    assert _all_representations(23, 3, 5) == [(6, 1), (1, 4)]
-    assert _all_representations(4, 3, 5) == []
-    for i, j in _all_representations(120, 7, 11):
-        assert i >= 0 and j >= 0 and 7 * i + 11 * j == 120
 
 
 def test_not_coprime_rejected():
