@@ -222,10 +222,23 @@ def _payload_problem(payload) -> str | None:
 
 
 def _reverify_witness(payload: dict) -> list[str]:
-    """Exact re-checks of an emitted witness; returns failure messages."""
-    problems = []
+    """Exact re-checks of an emitted witness; returns failure messages.
+
+    Only the degree-ab piece of the u-th symbolic power (e = 1, order u)
+    certifies the verdict, so any other header is refused before the
+    re-checks run; a huge order would also make the shift test allocate
+    O(order) per term.
+    """
     a, b, c = payload["triple"]
     pres = compute_presentation(CurveTriple(a, b, c))
+    certificate = {"e": 1, "order": pres.u, "degree": a * b}
+    problems = [
+        f"{key} is {payload[key]}, not {want}"
+        for key, want in certificate.items()
+        if payload[key] != want
+    ]
+    if problems:
+        return problems
     coeffs = {
         LatticePoint(item["alpha"], item["beta"]): Fraction(item["coefficient"])
         for item in payload["lattice_coefficients"]

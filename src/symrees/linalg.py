@@ -6,7 +6,11 @@ yes/no statements.  There is one elimination routine, ``_echelon``:
 fraction-free Bareiss elimination on integer rows, optionally carrying a
 guard row that is never a pivot.  Rank, row-space membership (the guard
 reduces to zero) and kernel vectors (one exact back-substitution per free
-column) are all read from its echelon form.
+column) are all read from its echelon form.  Its work follows the nonzero
+entries: a row is touched only where it has an entry in the pivot column
+(rows wait in buckets by leading column), and rows and guard alike are
+rescaled lazily, so its output is that of the eagerly rescaled kernel that
+the tests keep as an oracle.
 The pivot columns of any echelon form are those of the unique reduced row
 echelon form, so the kernel basis read here is the canonical one.  Entries
 are plain Python ints.  With the rows in the Lagrange basis of
@@ -19,6 +23,7 @@ system of a rank-deep pool triple reaches 87 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 
 @dataclass(frozen=True)
@@ -80,67 +85,99 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
     pivot but is reduced with the others; it ends up zero exactly when it
     lies in their row space.
 
+    Only nonzero entries cost work.  The rows not yet pivoted are kept in
+    buckets by their leading (first nonzero) column, so the rows with an
+    entry in column col are exactly ``bucket[col]`` and a free column costs
+    O(1).  "First row" means first in the row order of the eager kernel,
+    where each pivot row is swapped with the row at the current rank; the
+    position of every row is tracked through those swaps.  A reduced row
+    moves to the bucket of its new leading column, or is dropped when zero.
+
     Row scaling is lazy.  A row whose pivot-column entry is zero would only
     be multiplied by p / prev, so it is left as stored, together with the
     divisor d it was last reduced with (1 at first).  The factors of a run of
     skipped steps cancel to prev / d, so the true row is stored * prev // d.
     A row with q != 0 is reduced as (p*a - q*b) // d from its stored entries,
     which gives the same minor, and a pivot row is brought to its true form
-    once, when chosen.  The guard stays eager: its entries at free columns
-    left of later pivots are not rescaled, and a lazy guard would differ
-    there.
+    once, when chosen.  Where d divides p and q (or prev), the division
+    moves out of the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  On
+    the rank-deep systems the pivots are mostly +-1, so this holds for most
+    updates.  The guard is lazy in the same way, with one divisor
+    for the whole row; since an eager step leaves the guard's entry at a
+    free column as it is from then on, that entry is brought to its true
+    value when the sweep passes the column, and the remaining tail at the
+    end.  Every division is exact: the eager kernel divides exactly on the
+    columns >= col.  So rows, pivots and guard are those of the eager
+    kernel.
     """
     nrows = len(rows)
     divs = [1] * nrows
+    buckets: list[list[int]] = [[] for _ in range(ncols)]
+    for idx, row in enumerate(rows):
+        lead = next(compress(count(), row), None)
+        if lead is not None:
+            buckets[lead].append(idx)
+    live = sum(map(len, buckets))  # nonzero rows not yet pivoted
+    at = list(range(nrows))  # at[k]: the row at position k of the eager order
+    pos = list(range(nrows))  # pos[idx]: the position of row idx
+    reduced: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
-    rank = 0
+    gd = 1  # the guard's divisor
     col = 0
-    while col < ncols and rank < nrows:
-        # pivot: smallest true nonzero magnitude in the column
-        pivot_at = -1
-        best = 0
-        for idx in range(rank, nrows):
-            v = rows[idx][col]
-            if v:
-                d = divs[idx]
-                if d != prev:
-                    v = v * prev // d
-                if pivot_at < 0 or abs(v) < best:
-                    best = abs(v)
-                    pivot_at = idx
-        if pivot_at < 0:
+    while live:
+        bucket = buckets[col]
+        if not bucket:
+            if guard is not None and gd != prev and guard[col]:
+                guard[col] = guard[col] * prev // gd
             col += 1
             continue
-        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
-        divs[rank], divs[pivot_at] = divs[pivot_at], divs[rank]
-        pr = rows[rank]
-        d = divs[rank]
+        if len(bucket) == 1:
+            pick = bucket[0]
+            others = ()
+        else:
+            # pivot: smallest true magnitude, earliest position on ties
+            pick = min(bucket, key=lambda idx: (abs(rows[idx][col] * prev // divs[idx]), pos[idx]))
+            others = [idx for idx in bucket if idx != pick]
+        rank = len(pivots)
+        other, spot = at[rank], pos[pick]
+        at[spot], pos[other] = other, spot
+        pr = rows[pick]
+        d = divs[pick]
         if d != prev:
-            pr[col:] = [x * prev // d for x in pr[col:]]
+            if prev % d:
+                pr[col:] = [x * prev // d for x in pr[col:]]
+            else:  # d divides prev (d = 1 for a row never reduced)
+                k = prev // d
+                pr[col:] = [x * k for x in pr[col:]]
         p = pr[col]
-        pr_tail = pr[col:]
-        for idx in range(rank + 1, nrows):
+        pr_tail = pr[col:] if others or (guard is not None and guard[col]) else ()
+        for idx in others:
             ri = rows[idx]
             q = ri[col]
-            if q:
-                d = divs[idx]
-                if d == 1:
-                    ri[col:] = [p * x - q * y for x, y in zip(ri[col:], pr_tail)]
-                else:
-                    ri[col:] = [(p * x - q * y) // d for x, y in zip(ri[col:], pr_tail)]
-                divs[idx] = p
+            d = divs[idx]
+            if p % d or q % d:
+                tail = [(p * x - q * y) // d for x, y in zip(ri[col:], pr_tail)]
+            else:  # d divides p and q (d = 1 for a row never reduced)
+                pd, qd = p // d, q // d
+                tail = [pd * x - qd * y for x, y in zip(ri[col:], pr_tail)]
+            ri[col:] = tail
+            divs[idx] = p
+            lead = next(compress(count(col), tail), None)
+            if lead is None:
+                live -= 1
+            else:
+                buckets[lead].append(idx)
+        live -= 1
         if guard is not None:
             q = guard[col]
-            if q == 0:
-                if p != prev:
-                    guard[col:] = [(p * x) // prev for x in guard[col:]]
-            elif prev == 1:
-                guard[col:] = [p * x - q * y for x, y in zip(guard[col:], pr_tail)]
-            else:
-                guard[col:] = [(p * x - q * y) // prev for x, y in zip(guard[col:], pr_tail)]
+            if q:
+                guard[col:] = [(p * x - q * y) // gd for x, y in zip(guard[col:], pr_tail)]
+                gd = p
         prev = p
+        reduced.append(pr)
         pivots.append(col)
-        rank += 1
         col += 1
-    return Echelon(rows=rows[:rank], pivots=pivots, guard=guard, cols=ncols)
+    if guard is not None and gd != prev:
+        guard[col:] = [x * prev // gd for x in guard[col:]]
+    return Echelon(rows=reduced, pivots=pivots, guard=guard, cols=ncols)

@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter, mul
+from itertools import compress
+from operator import itemgetter
 
 from .criteria import EuReport, GkReport, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
@@ -81,69 +81,70 @@ def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     return table
 
 
-def _lagrange_table(top: int, n: int) -> list[list[list[int]]]:
-    """Integer Lagrange values: table[m][i][alpha] = L_i^(m)(alpha), 1 <= m <= n, i < m.
+def _lagrange_values(m: int, alphas) -> dict[int, list[int]]:
+    """{alpha: [L_i^(m)(alpha) for i < m]}: the integer Lagrange basis at the nodes 0..m-1.
 
-    L_i^(m) is the Lagrange basis of the polynomials of degree < m at the
-    nodes 0..m-1: delta(i, alpha) for alpha < m, and
-    (-1)^(m-1-i) * C(alpha, i) * C(alpha-i-1, m-1-i) for alpha >= m.  Each
-    list covers at least alpha = 0..top.  The binomials come from one Pascal
-    table, kept by columns: column[k][x] = C(x, k) for x <= top, k < n.
+    delta(i, alpha) at a node alpha < m.  Beyond the nodes, L_i^(m)(alpha) =
+    (-1)^(m-1-i) * C(alpha, i) * C(alpha-i-1, m-1-i), which is
+    C(alpha, m) * w_i / (alpha - i) with w_i = (-1)^(m-1-i) * m * C(m-1, i),
+    an exact division.
     """
-    column = [[1] * (top + 1)]
-    for _ in range(1, n):
-        column.append([0] + list(accumulate(column[-1][:top])))
-    signed = [c if k % 2 == 0 else [-x for x in c] for k, c in enumerate(column)]
-    table: list[list[list[int]]] = [[]]
-    for m in range(1, n + 1):
-        at_m = []
-        for i in range(m):
-            k = m - 1 - i
-            nodes = [0] * m
-            nodes[i] = 1
-            # alpha = m..top: C(alpha, i) * (-1)^k C(alpha-1-i, k)
-            at_m.append(nodes + list(map(mul, column[i][m:], signed[k][k:top - i])))
-        table.append(at_m)
-    return table
+    weights = [m * math.comb(m - 1, i) * (-1) ** (m - 1 - i) for i in range(m)]
+    values = {}
+    for alpha in alphas:
+        if alpha < m:
+            values[alpha] = [int(i == alpha) for i in range(m)]
+        else:
+            top = math.comb(alpha, m)
+            values[alpha] = [top * w // (alpha - i) for i, w in enumerate(weights)]
+    return values
 
 
 def _system_rows(cols: list[tuple[int, list[int]]], n: int) -> list[list[int]]:
     """Nonzero rows of the order-n derivative system in the interpolating row basis.
 
-    A column is (alpha, f): f[l] is its beta factor in the rows of order l
-    in w, C(beta, l) for a point (alpha, beta).  Row (i, l), i + l < n, has
+    A column is (alpha, f), alpha >= 0: f[l] is its beta factor in the rows
+    of order l in w, C(beta, l) for a point (alpha, beta).  Row (i, l), i + l < n, has
     entry L_i^(n-l)(alpha) * f[l], for L_i^(m) the Lagrange basis at the
-    nodes 0..m-1 (``_lagrange_table``).  The rows C(alpha, k) * f[l],
+    nodes 0..m-1 (``_lagrange_values``).  The rows C(alpha, k) * f[l],
     k < n-l, of the binomial-scaled system (the order-(k, l) derivative at
     (1, 1) divided by k! l!) span the same space: both sets are integer
     bases of the polynomials of degree < n-l in alpha, related by a
     unimodular change of basis.  So the rank, the row-space membership and
     the reduced row echelon form, and with them the verdict and the
-    canonical witness, are those of the derivative system.  Row (i, l) is
-    zero on the columns with alpha < n-l except alpha = i.  All-zero rows
-    are dropped, and the rows are sorted by nonzero count, sparsest first
-    (stable), which keeps the elimination short.
+    canonical witness, are those of the derivative system.
+
+    Only nonzero entries are written, straight into the rows, which start
+    as zeros.  Row (i, l) is zero on the node columns alpha < n-l except
+    alpha = i, where it holds f[l], and nonzero beyond the nodes wherever
+    f[l] is; the nonzero counts are tallied as the entries are written.
+    All-zero rows are dropped, and the rows are sorted by nonzero count,
+    sparsest first (stable), which keeps the elimination short.
     """
-    alphas = [al for al, _ in cols]
     ncols = len(cols)
-    lagrange = _lagrange_table(max(alphas), n)
-    rows = []
-    for l in range(n):
-        factors = [f[l] for _, f in cols]
-        first = next(filter(None, factors), 0)
-        if not first:
-            continue
-        start = factors.index(first)  # leading zero columns stay zero
-        lead = [0] * start
-        tail = factors[start:]
-        # the spare index keeps a tuple when one column is left; map stops at tail
-        gather = itemgetter(*alphas[start:], 0)
-        for values in lagrange[n - l]:
-            row = lead + list(map(mul, tail, gather(values)))
-            zeros = row.count(0)
-            if zeros < ncols:
-                rows.append((zeros, row))
-    rows.sort(key=itemgetter(0), reverse=True)
+    distinct = {alpha for alpha, _ in cols}
+    # lagrange[l][alpha]: [L_i^(n-l)(alpha) for i < n-l], alpha beyond the nodes
+    lagrange = [_lagrange_values(n - l, [al for al in distinct if al >= n - l]) for l in range(n)]
+    blocks = [[[0] * ncols for _ in range(n - l)] for l in range(n)]  # blocks[l][i]: row (i, l)
+    at_node = [[0] * (n - l) for l in range(n)]  # entries of row (i, l) on the nodes
+    beyond = [0] * n  # entries of each row of order l beyond the nodes
+    for c, (alpha, f) in enumerate(cols):
+        for l in compress(range(n), f):
+            v = f[l]
+            if alpha < n - l:
+                blocks[l][alpha][c] = v
+                at_node[l][alpha] += 1
+            else:
+                for row, x in zip(blocks[l], lagrange[l][alpha]):
+                    row[c] = x * v
+                beyond[l] += 1
+    rows = [
+        (count + far, row)
+        for block, counts, far in zip(blocks, at_node, beyond)
+        for count, row in zip(counts, block)
+        if count + far
+    ]
+    rows.sort(key=itemgetter(0))
     return [row for _, row in rows]
 
 
@@ -207,7 +208,7 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
 
 
 def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
-    verdict = classify(p.triple, want_witness=want_witness)
+    verdict = _verdict(p, want_witness)
     if verdict.noetherian is INAPPLICABLE:
         raise AssumptionViolationError(f"hypotheses fail for {p.triple}: {verdict.reason}")
     return verdict
@@ -216,7 +217,8 @@ def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
 def huneke_witness_exists(p: HerzogPresentation) -> bool:
     """Does some element of the (e=1, n=u) kernel have nonzero (0,0) term?
 
-    Decided by ``classify``, with its hypothesis gate and cross-checks.
+    Decided as ``classify`` decides it, from ``p``, with its hypothesis gate
+    and cross-checks.
     """
     return _applicable_verdict(p, want_witness=False).witness_exists
 
@@ -306,9 +308,9 @@ def extract_witness(p: HerzogPresentation) -> WitnessElement:
     """Deterministic witness with coefficient 1 at (0, 0).
 
     Takes the first kernel basis vector (in the frozen free-column order)
-    with nonzero constant coordinate and rescales it.  Goes through
-    ``classify``, so a triple where GK holds is refused without building
-    the point system.
+    with nonzero constant coordinate and rescales it.  Decided as
+    ``classify`` decides it, from ``p``, so a triple where GK holds is
+    refused without building the point system.
     """
     witness = _applicable_verdict(p, want_witness=True).witness
     if witness is None:
@@ -404,7 +406,12 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
         return _inapplicable(
             triple, report, "curve ideal is not minimally generated by three binomials"
         )
+    return _verdict(pres, want_witness)
 
+
+def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
+    """``classify`` from the presentation on: hypotheses, EU, GK, witness test."""
+    triple = pres.triple
     assumptions = validate_assumptions(pres)
     eu = check_eu(pres)
     gk = check_gk(pres, validated=assumptions.all_hold)

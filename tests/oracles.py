@@ -8,7 +8,8 @@ matrix-vector products, the shift-substitution membership test with
 Fraction coefficients and term by term over integers, the witness
 extraction over every lattice point of the triangle, the derivative system
 over the lattice points in its falling-factorial (spec) and binomial-scaled
-forms (the package eliminates a Lagrange row basis instead), the GK interval counts in Fraction arithmetic, a Fraction front end
+forms (the package eliminates a Lagrange row basis instead), the Lagrange
+row basis built densely from one Pascal table, the GK interval counts in Fraction arithmetic, a Fraction front end
 to the integer interval count, the ``dataclasses.asdict`` record
 encoding, and every representation of an integer by two coprime weights.
 """
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Sequence
 
 from symrees.lattice import LatticePoint, enumerate_points, interval_count
@@ -122,6 +125,63 @@ def scaled_rows(points, n: int) -> list[list[int]]:
     cols = [(binom_a[al], binom_b[be]) for al, be in points]
     rows = ([ca[k] * cb[l] for ca, cb in cols] for (k, l) in derivative_orders(n))
     return [row for row in rows if any(row)]
+
+
+def lagrange_table(top: int, n: int) -> list[list[list[int]]]:
+    """Integer Lagrange values: table[m][i][alpha] = L_i^(m)(alpha), 1 <= m <= n, i < m.
+
+    L_i^(m) is the Lagrange basis of the polynomials of degree < m at the
+    nodes 0..m-1: delta(i, alpha) for alpha < m, and
+    (-1)^(m-1-i) * C(alpha, i) * C(alpha-i-1, m-1-i) for alpha >= m.  Each
+    list covers at least alpha = 0..top.  The binomials come from one Pascal
+    table, kept by columns: column[k][x] = C(x, k) for x <= top, k < n.
+    """
+    column = [[1] * (top + 1)]
+    for _ in range(1, n):
+        column.append([0] + list(accumulate(column[-1][:top])))
+    signed = [c if k % 2 == 0 else [-x for x in c] for k, c in enumerate(column)]
+    table: list[list[list[int]]] = [[]]
+    for m in range(1, n + 1):
+        at_m = []
+        for i in range(m):
+            k = m - 1 - i
+            nodes = [0] * m
+            nodes[i] = 1
+            # alpha = m..top: C(alpha, i) * (-1)^k C(alpha-1-i, k)
+            at_m.append(nodes + list(map(mul, column[i][m:], signed[k][k:top - i])))
+        table.append(at_m)
+    return table
+
+
+def dense_system_rows(cols, n: int) -> list[list[int]]:
+    """The rows of ``witness._system_rows``, every entry computed.
+
+    Row (i, l) holds L_i^(n-l)(alpha) * f[l] at every column (alpha, f),
+    from one Pascal table (``lagrange_table``), zeros included; all-zero
+    rows are dropped and the rest sorted by zero count, most zeros first
+    (stable).
+    """
+    alphas = [al for al, _ in cols]
+    ncols = len(cols)
+    lagrange = lagrange_table(max(alphas), n)
+    rows = []
+    for l in range(n):
+        factors = [f[l] for _, f in cols]
+        first = next(filter(None, factors), 0)
+        if not first:
+            continue
+        start = factors.index(first)  # leading zero columns stay zero
+        lead = [0] * start
+        tail = factors[start:]
+        # the spare index keeps a tuple when one column is left; map stops at tail
+        gather = itemgetter(*alphas[start:], 0)
+        for values in lagrange[n - l]:
+            row = lead + list(map(mul, tail, gather(values)))
+            zeros = row.count(0)
+            if zeros < ncols:
+                rows.append((zeros, row))
+    rows.sort(key=itemgetter(0), reverse=True)
+    return [row for _, row in rows]
 
 
 def scaled_system(points, n: int) -> QMatrix:

@@ -228,6 +228,31 @@ def test_witness_verify_rejects_mistyped_fields(capsys, tmp_path):
         assert err.startswith(f"FAIL: malformed witness file: {key} "), (key, value, err)
 
 
+@pytest.mark.parametrize("key, value", [("order", 1), ("order", 2), ("e", 2), ("degree", 304)])
+def test_witness_verify_refuses_a_non_certificate(capsys, tmp_path, key, value):
+    # 8 19 9 has u = 3; a witness of another piece proves nothing about it
+    payload = _emitted_payload(capsys, tmp_path)
+    want = {"e": 1, "order": 3, "degree": 152}[key]
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps({**payload, key: value}))
+    assert code == 4
+    assert out == ""
+    assert err == f"FAIL: {key} is {value}, not {want}\n"
+
+
+def test_witness_verify_refuses_a_huge_order_before_any_recheck(capsys, tmp_path, monkeypatch):
+    # the shift test would allocate O(order) per term; it must not be reached
+    payload = _emitted_payload(capsys, tmp_path)
+
+    def no_recheck(*args):
+        raise AssertionError("re-check run on a non-certificate")
+
+    monkeypatch.setattr("symrees.cli.shift_membership_test", no_recheck)
+    monkeypatch.setattr("symrees.cli.curve_substitution_zero", no_recheck)
+    code, _, err = _verify_file(capsys, tmp_path, json.dumps({**payload, "order": 10**18}))
+    assert code == 4
+    assert err == f"FAIL: order is {10**18}, not 3\n"
+
+
 def test_witness_absent(capsys):
     code, _, err = run_cli(capsys, "witness", "25", "29", "72")
     assert code == 1

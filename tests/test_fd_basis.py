@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 import symrees.lattice
 import symrees.witness
-from oracles import point_system_decision, point_system_witness
+from oracles import (
+    assert_lazy_echelon_matches_eager,
+    dense_system_rows,
+    point_system_decision,
+    point_system_witness,
+)
 from symrees.lattice import _column_bounds, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
@@ -29,6 +34,7 @@ from symrees.scan import ScanJob, iter_triples
 from symrees.witness import (
     _fd_columns,
     _fd_decision,
+    _point_columns,
     _system_rows,
     NoWitnessError,
     classify,
@@ -150,6 +156,34 @@ def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
                 assert ncols <= sum(min(ell, n) for ell in lengths), (p.triple, e, n)
                 assert len(rows) <= len(derivative_orders(n))
                 assert all(len(row) == ncols for row in rows)
+
+
+def both_column_sets(p):
+    # the verdict's finite-difference columns and the witness system's points
+    return _fd_columns(p, 1, p.u), _point_columns(enumerate_points(p, 1, p.u), p.u)
+
+
+def test_fd_systems_eliminate_as_the_eager_kernel_up_to_30(validated_30):
+    # the verdict's own systems, unit guard at (0, 0): rows, pivots, guard and
+    # every kernel vector as the eagerly rescaled kernel gives them
+    for p in validated_30:
+        cols = _fd_columns(p, 1, p.u)
+        guard = [1] + [0] * (len(cols) - 1)
+        assert_lazy_echelon_matches_eager(_system_rows(cols, p.u), len(cols), guard)
+
+
+def test_system_rows_match_the_dense_builder_up_to_30(validated_30):
+    for p in validated_30:
+        for cols in both_column_sets(p):
+            assert _system_rows(cols, p.u) == dense_system_rows(cols, p.u), p.triple
+
+
+@pytest.mark.parametrize("pool", ["rank_deep.json", "witness_extract.json"])
+def test_system_rows_match_the_dense_builder_on_pools(pool):
+    for row in pool_rows(pool):
+        p = pres(row["a"], row["b"], row["c"])
+        for cols in both_column_sets(p):
+            assert _system_rows(cols, p.u) == dense_system_rows(cols, p.u), row
 
 
 def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):

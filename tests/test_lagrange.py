@@ -2,17 +2,19 @@
 
 For each order l in w the package replaces the rows C(alpha, k) * f[l],
 k < m = n - l, by L_i^(m)(alpha) * f[l], i < m, with L_i^(m) the integer
-Lagrange basis at the nodes 0..m-1.  The table is checked against the
-Fraction product, the change of basis against the binomial basis, and the
-rows against the binomial-scaled system of ``oracles.scaled_rows``.
+Lagrange basis at the nodes 0..m-1.  The values of ``_lagrange_values`` and
+of the dense Pascal-table oracle are checked against the Fraction product,
+the change of basis against the binomial basis, the rows against the
+binomial-scaled system of ``oracles.scaled_rows``, and the sparse row
+builder against the dense one, entry for entry and in the same order.
 """
 
 import random
 from fractions import Fraction
 
-from oracles import QMatrix, rref, scaled_rows
+from oracles import QMatrix, dense_system_rows, lagrange_table, rref, scaled_rows
 from symrees.lattice import LatticePoint
-from symrees.witness import _lagrange_table, _point_columns, _system_rows
+from symrees.witness import _lagrange_values, _point_columns, _system_rows
 
 M_MAX = 20
 
@@ -50,43 +52,72 @@ def determinant(matrix):
     return det
 
 
+def lagrange_columns(m, top):
+    # values[i][alpha] = L_i^(m)(alpha), alpha = 0..top, from the package
+    by_alpha = _lagrange_values(m, range(top + 1))
+    return [[by_alpha[alpha][i] for alpha in range(top + 1)] for i in range(m)]
+
+
 def test_lagrange_table_values():
-    table = _lagrange_table(3 * M_MAX, M_MAX)
+    # the package's values and the Pascal-table oracle, at the nodes and
+    # beyond, against the Fraction product
+    table = lagrange_table(3 * M_MAX, M_MAX)
     for m in range(1, M_MAX + 1):
-        assert len(table[m]) == m
-        for i, values in enumerate(table[m]):
+        got = lagrange_columns(m, 3 * m)
+        assert len(got) == len(table[m]) == m
+        for i, values in enumerate(got):
             for alpha in range(3 * m + 1):
+                want = lagrange_product(m, i, alpha)
                 if alpha < m:
                     assert values[alpha] == (alpha == i), (m, i, alpha)
-                assert values[alpha] == lagrange_product(m, i, alpha), (m, i, alpha)
+                assert values[alpha] == table[m][i][alpha] == want, (m, i, alpha)
                 assert type(values[alpha]) is int
 
 
 def test_lagrange_basis_is_a_unimodular_change_of_the_binomial_basis():
     # L_i = sum_k T[i][k] C(alpha, k) with T[i][k] the k-th forward difference
     # of L_i at 0; T must be integral with determinant +-1 and reproduce the
-    # table at every alpha <= 3m
-    table = _lagrange_table(3 * M_MAX, M_MAX)
+    # values at every alpha <= 3m
     for m in range(1, M_MAX + 1):
+        columns = lagrange_columns(m, 3 * m)
         change = [
             [sum((-1) ** (k - j) * binom(k, j) * values[j] for j in range(k + 1)) for k in range(m)]
-            for values in table[m]
+            for values in columns
         ]
         assert all(x.denominator == 1 for row in change for x in row), m
         assert abs(determinant(change)) == 1, m
-        for i, values in enumerate(table[m]):
+        for i, values in enumerate(columns):
             for alpha in range(3 * m + 1):
                 assert values[alpha] == sum(t * binom(alpha, k) for k, t in enumerate(change[i]))
 
 
 def test_lagrange_table_small_top():
-    # top at or below the node count: the lists still hold L_i^(m) at 0..top
+    # alpha at or below the node count: the package's values and the
+    # oracle's lists still hold L_i^(m) at 0..top, and a system whose columns
+    # all sit on nodes gets the unit rows
     for top in range(7):
-        table = _lagrange_table(top, 6)
+        table = lagrange_table(top, 6)
         for m in range(1, 7):
-            for i, values in enumerate(table[m]):
+            got = lagrange_columns(m, top)
+            for i in range(m):
                 want = [lagrange_product(m, i, alpha) for alpha in range(top + 1)]
-                assert values[:top + 1] == want, (top, m, i)
+                assert got[i] == table[m][i][:top + 1] == want, (top, m, i)
+        cols = [(alpha, [1] * 6) for alpha in range(top + 1)]
+        assert _system_rows(cols, 6) == dense_system_rows(cols, 6), top
+
+
+def test_system_rows_match_the_dense_builder():
+    # rows and order, on random point sets with negative ordinates, repeats in
+    # a column, alphas beyond the nodes and columns that vanish at some orders
+    rng = random.Random(7)
+    for _ in range(300):
+        alphas = rng.sample(range(15), rng.randint(1, 7))
+        points = sorted(
+            {LatticePoint(al, rng.randint(-6, 6)) for al in alphas for _ in range(rng.randint(1, 4))}
+        )
+        n = rng.randint(1, 8)
+        cols = _point_columns(points, n)
+        assert _system_rows(cols, n) == dense_system_rows(cols, n), (points, n)
 
 
 def test_system_rows_span_the_binomial_row_space():

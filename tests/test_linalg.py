@@ -165,7 +165,8 @@ def test_appending_spanned_row_keeps_rank(rows):
 @pytest.mark.parametrize("zero_frac", [0, 0.3, 0.6, 0.85])
 def test_lazy_echelon_matches_eager_oracle(zero_frac):
     # sparse rows give runs of zeros in the pivot column, which is where the
-    # lazy kernel skips rows; the guard is reduced eagerly either way
+    # lazy kernel skips rows and the guard; zero rows and ties in magnitude
+    # exercise the row positions tracked through the swaps
     rng = random.Random(24007 + int(100 * zero_frac))
 
     def row(cols):
@@ -180,8 +181,17 @@ def test_lazy_echelon_matches_eager_oracle(zero_frac):
 
 def test_lazy_echelon_keeps_guard_entries_left_of_later_pivots():
     # the guard's entry at free column 1, left of the pivot at column 4, is
-    # not rescaled by the eager kernel; a lazily scaled guard would differ
+    # not rescaled by the eager kernel
     assert_lazy_echelon_matches_eager([[0, 0, 0, 0, -5, 0]], 6, [0, 2, -3, 0, 0, 0])
+
+
+def test_lazy_guard_freezes_free_column_entries():
+    # the guard is reduced at column 0 (divisor 2) and skipped at column 1
+    # (prev 6), so its stored 10 at free column 2 must be frozen to its true
+    # 10 * 6 // 2 = 30 before the pivot at column 3 moves prev on
+    rows = [[2, 1, 0, 0, 0], [0, 3, 0, 0, 1], [0, 0, 0, 1, 1]]
+    assert_lazy_echelon_matches_eager(rows, 5, [2, 1, 5, 0, 0])
+    assert QMatrix(rows).echelon([2, 1, 5, 0, 0]).guard == [0, 0, 30, 0, 0]
 
 
 def test_column_labels_must_be_distinct():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from oracles import (
 )
 from symrees.lattice import LatticePoint, enumerate_points
 from symrees.polynomials import SparsePoly, curve_substitution_zero
-from symrees.presentation import CurveTriple, compute_presentation
+from symrees.presentation import CurveTriple, InternalConsistencyError, compute_presentation
 from symrees.witness import (
     AssumptionViolationError,
     NoWitnessError,
@@ -392,6 +393,47 @@ def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
     assert with_witness
     for p, v in with_witness:
         assert v.witness == extract_witness(p), p.triple
+
+
+def test_presentation_entry_points_build_no_presentation(monkeypatch, validated_30):
+    # huneke_witness_exists and extract_witness start from the presentation
+    # they are given, through the same body as classify
+    sample = validated_30[::9]
+    want = [classify(p.triple, want_witness=True) for p in sample]
+    gated = pres(16, 683, 97)
+
+    def no_presentation(*args):
+        raise AssertionError("presentation rebuilt")
+
+    monkeypatch.setattr(symrees.witness, "compute_presentation", no_presentation)
+    for p, v in zip(sample, want):
+        assert huneke_witness_exists(p) is v.witness_exists, p.triple
+        if v.witness_exists:
+            assert extract_witness(p) == v.witness, p.triple
+        else:
+            with pytest.raises(NoWitnessError):
+                extract_witness(p)
+    for entry in (huneke_witness_exists, extract_witness):
+        with pytest.raises(AssumptionViolationError):
+            entry(gated)
+
+
+def test_presentation_entry_points_keep_both_cross_checks(monkeypatch):
+    # a forged EU on a triple without a witness, and GK forged on one with a
+    # witness, must both be caught
+    no_witness, with_witness = pres(25, 29, 72), pres(8, 19, 9)
+    check_eu, check_gk = symrees.witness.check_eu, symrees.witness.check_gk
+    monkeypatch.setattr(symrees.witness, "check_eu", lambda p: replace(check_eu(p), holds=True))
+    for entry in (huneke_witness_exists, extract_witness):
+        with pytest.raises(InternalConsistencyError, match="EU holds"):
+            entry(no_witness)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        symrees.witness, "check_gk", lambda p, **kw: replace(check_gk(p, **kw), def_I_holds=True)
+    )
+    for entry in (huneke_witness_exists, extract_witness):
+        with pytest.raises(InternalConsistencyError, match="GK holds"):
+            entry(with_witness)
 
 
 def test_verdicts_match_criteria_on_validated_pool(validated_30):
