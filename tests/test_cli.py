@@ -306,3 +306,78 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "symrees" in proc.stdout
+
+
+_FAMILY_CHECKS = """\
+[PASS] generator syzygies
+[PASS] exponent inequalities s2 > 2*s3, u1 < u2 < 2*u1
+[PASS] order-2 element: x^s3 divides z^(u2-u1) f^2 - g h
+[PASS] order-2 companion: z^u1 xi = x^(s2-s3) h^2 - f g
+[PASS] order-2 slice: xi = y^3 mod (x)
+[PASS] order-2 element is a negative curve  [deg^2 = {deg2} vs 4abc = {abc4}]
+[PASS] order-3 element: x^s3 divides f^3 + z^(2u1-u2) h xi
+[PASS] order-3 companion: z^(u2-u1) zeta = f xi + x^(s2-2s3) h^3
+[PASS] order-3 slice: zeta = -y^4 z^(2u1-u2) mod (x)
+[PASS] slice colength at order 2 equals 3a  [{len2} vs 3a = {len2}]
+[PASS] slice colength at order 3 equals 6a  [{len3} vs 6a = {len3}]
+[PASS] order 2*3 product is strictly smaller than the order-5 power  [colengths {lp} vs {ls} (gap {gap})]
+"""
+_FAMILY_CONCLUSION = (
+    "conclusion: symbolic Rees ring of p(a, b, c) is infinitely generated\n"
+    "note: the negative curve sits in the second symbolic power, outside the classifier "
+    "hypotheses; `classify` deliberately reports inapplicable here\n"
+)
+
+# the whole verify-family report, byte for byte: (argv, exit code, stdout, stderr)
+_FAMILY_PINS = [
+    (
+        ["--alpha", "6/5", "--beta", "49/24"],
+        0,
+        "parameters   alpha=6/5 beta=49/24 m=1 n=1\n"
+        "exponents    s2=49 s3=24 t1=1 t3=1 u1=5 u2=6\n"
+        "weights      (a, b, c) = (16, 683, 97), gcd = 1, pairwise coprime = True\n"
+        + _FAMILY_CHECKS.format(deg2=4198401, abc4=4240064, len2=48, len3=96, lp=241, ls=240, gap=1)
+        + _FAMILY_CONCLUSION,
+        "",
+    ),
+    (
+        ["--alpha", "6/5", "--beta", "49/24", "--m", "2", "--n", "1"],
+        0,
+        "parameters   alpha=6/5 beta=49/24 m=2 n=1\n"
+        "exponents    s2=98 s3=48 t1=1 t3=1 u1=5 u2=6\n"
+        "weights      (a, b, c) = (16, 1366, 194), gcd = 2, pairwise coprime = False\n"
+        "warning: gcd(a, b, c) = 2 != 1 (needs m odd and further coprimality of the scales); "
+        "the infinite-generation conclusion does not apply\n"
+        + _FAMILY_CHECKS.format(deg2=16793604, abc4=16960256, len2=48, len3=96, lp=241, ls=240, gap=1),
+        "",
+    ),
+    (
+        ["--alpha", "6/5", "--beta", "49/24", "--m", "3", "--n", "2"],
+        0,
+        "parameters   alpha=6/5 beta=49/24 m=3 n=2\n"
+        "exponents    s2=147 s3=72 t1=1 t3=1 u1=10 u2=12\n"
+        "weights      (a, b, c) = (32, 4098, 291), gcd = 1, pairwise coprime = False\n"
+        + _FAMILY_CHECKS.format(
+            deg2=151142436, abc4=152642304, len2=96, len3=192, lp=482, ls=480, gap=2
+        )
+        + _FAMILY_CONCLUSION,
+        "",
+    ),
+    (["--alpha", "4/3", "--beta", "49/24"], 2, "", "rejected: alpha=4/3 violates 1 < alpha < 5/4\n"),
+    (
+        ["--alpha", "121/100", "--beta", "21/10"],
+        2,
+        "",
+        "rejected: beta=21/10 violates 2 < beta < 490/237\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", _FAMILY_PINS, ids=[" ".join(pin[0]) for pin in _FAMILY_PINS]
+)
+def test_verify_family_report_is_pinned(argv, code, out, err):
+    proc = subprocess.run(
+        [sys.executable, "-m", "symrees", "verify-family", *argv], capture_output=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
