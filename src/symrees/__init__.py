@@ -10,7 +10,6 @@ from .presentation import (  # noqa: F401
     NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
-    representable,
     validate_assumptions,
 )
 from .lattice import (  # noqa: F401
@@ -26,8 +25,6 @@ from .criteria import (  # noqa: F401
     GkReport,
     check_eu,
     check_gk,
-    check_gk_definition,
-    check_gk_five,
 )
 from .witness import (  # noqa: F401
     Verdict,
@@ -41,7 +38,6 @@ from .witness import (  # noqa: F401
 from .polynomials import (  # noqa: F401
     FamilyParams,
     FamilyRejectionError,
-    MonomialIdeal2D,
     SparsePoly,
     build_generators,
     build_xi,

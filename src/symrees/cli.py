@@ -38,7 +38,6 @@ from .scan import ScanJob, run_scan
 from .witness import (
     InternalConsistencyError,
     classify,
-    derivative_orders,
     piece_dimension,
     shift_membership_test,
 )
@@ -153,7 +152,7 @@ def _cmd_piece_dim(args) -> int:
         return 3
     pres = compute_presentation(triple)
     points = count_points(pres, args.e)
-    constraints = len(derivative_orders(args.n))
+    constraints = args.n * (args.n + 1) // 2  # derivative orders (k, l), k + l < n
     dim = piece_dimension(pres, args.e, args.n)
     print(json.dumps({
         "triple": [args.a, args.b, args.c],
@@ -316,15 +315,17 @@ def _cmd_verify_family(args) -> int:
     except FamilyRejectionError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    a, b, c = params.weights
+    p = params.presentation
+    a, b, c = p.a, p.b, p.c
+    gcd_abc = math.gcd(a, b, c)
     print(f"parameters   alpha={params.alpha} beta={params.beta} m={params.m} n={params.n}")
-    print(f"exponents    s2={params.s2} s3={params.s3} t1=1 t3=1 u1={params.u1} u2={params.u2}")
-    print(f"weights      (a, b, c) = ({a}, {b}, {c}), gcd = {params.gcd_abc}, "
-          f"pairwise coprime = {params.pairwise_coprime}")
+    print(f"exponents    s2={p.s2} s3={p.s3} t1=1 t3=1 u1={p.u1} u2={p.u2}")
+    print(f"weights      (a, b, c) = ({a}, {b}, {c}), gcd = {gcd_abc}, "
+          f"pairwise coprime = {p.triple.pairwise_coprime()}")
     if math.gcd(params.m, params.n) != 1:
         print(f"warning: m={params.m} and n={params.n} are not coprime")
-    if params.gcd_abc != 1:
-        print(f"warning: gcd(a, b, c) = {params.gcd_abc} != 1 "
+    if gcd_abc != 1:
+        print(f"warning: gcd(a, b, c) = {gcd_abc} != 1 "
               f"(needs m odd and further coprimality of the scales); "
               f"the infinite-generation conclusion does not apply")
     checks = verify_family_report(params)
@@ -335,7 +336,7 @@ def _cmd_verify_family(args) -> int:
         print(f"[{status}] {chk.label}{detail}")
     if failed:
         return 4
-    if params.gcd_abc == 1:
+    if gcd_abc == 1:
         print("conclusion: symbolic Rees ring of p(a, b, c) is infinitely generated")
         print("note: the negative curve sits in the second symbolic power, outside the "
               "classifier hypotheses; `classify` deliberately reports inapplicable here")

@@ -89,20 +89,6 @@ def _gk_five(p: HerzogPresentation, n: int, m: int) -> GkClause | None:
     return None
 
 
-def check_gk_definition(p: HerzogPresentation) -> GkReport:
-    """Two-clause defining form; exact interval scaling and integrality."""
-    return _gk_definition(p, *compute_nm(p))
-
-
-def check_gk_five(p: HerzogPresentation) -> GkClause | None:
-    """Five-case form; first matching clause in order GK1..GK5.
-
-    The cases are mutually exclusive by their (n, m) ranges, so the order
-    only fixes determinism.  Meaningful under the validated hypotheses.
-    """
-    return _gk_five(p, *compute_nm(p))
-
-
 def check_gk(p: HerzogPresentation, *, validated: bool = False) -> GkReport:
     """Evaluate GK in both forms; with validated=True a mismatch is fatal.
 

@@ -10,23 +10,20 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
     beta >= -(s2/s3) * alpha               (x exponent >= 0)
     beta >= (t/t3) * (alpha - e*u) + e*u2  (y exponent >= 0).
 
-All comparisons are exact: vertices and slopes are kept as fractions, and
-each column of points is obtained by one ceil and one floor in integer
-arithmetic.  Those integer column bounds come from one helper,
-`_column_bounds` (`_column_bound` for a single column).  The column counts
-behind the EU criterion, the point totals, the columns of the
-finite-difference verdict system and `DeltaRegion.contains` read them
-directly, with no point and no Fraction built, so an inapplicable triple
-costs O(u) rather than the area of D.  Only witness extraction enumerates
-points, and only the first u of each column (``depth``).  The slope-interval
-counts behind GK come from one integer helper, `interval_count`.  Nothing is
-cached at module level.
+All comparisons are exact: each column of points is obtained by one ceil
+and one floor in integer arithmetic.  Those integer column bounds come from
+one helper, `_column_bounds`.  The column counts behind the EU criterion,
+the point totals, the columns of the finite-difference verdict system and
+`DeltaRegion.contains` read them directly, with no point and no Fraction
+built, so an inapplicable triple costs O(u) rather than the area of D.
+Only witness extraction enumerates points, and only the first u of each
+column (``depth``).  The slope-interval counts behind GK come from one
+integer helper, `interval_count`.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .presentation import HerzogPresentation
@@ -48,48 +45,12 @@ class DeltaRegion:
         if self.e < 1:
             raise ValueError("scale e must be >= 1")
 
-    @property
-    def slope_lower_left(self) -> Fraction:
-        p = self.presentation
-        return Fraction(-p.s2, p.s3)
-
-    @property
-    def slope_upper(self) -> Fraction:
-        p = self.presentation
-        return Fraction(p.u2, p.u)
-
-    @property
-    def slope_lower_right(self) -> Fraction:
-        p = self.presentation
-        return Fraction(p.t, p.t3)
-
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        p, e = self.presentation, self.e
-        delta1 = Fraction(e * p.a * p.s3, p.c)
-        delta2 = Fraction(-e * p.a * p.s2, p.c)
-        return (
-            (Fraction(0), Fraction(0)),
-            (Fraction(e * p.u), Fraction(e * p.u2)),
-            (delta1, delta2),
-        )
-
-    def beta_range(self, alpha: int) -> tuple[Fraction, Fraction]:
-        """Exact lower and upper boundary ordinates of column alpha."""
-        p, e = self.presentation, self.e
-        lo = max(
-            self.slope_lower_left * alpha,
-            self.slope_lower_right * (alpha - e * p.u) + e * p.u2,
-        )
-        hi = self.slope_upper * alpha
-        return lo, hi
-
     def contains(self, alpha: int, beta: int) -> bool:
         """Is (alpha, beta) an integer point of e*D?  Integer arithmetic only."""
         p, e = self.presentation, self.e
         if alpha < 0 or alpha > e * p.u:
             return False
-        b_lo, b_hi = _column_bound(p, e, alpha)
+        b_lo, b_hi = next(_column_bounds(p, e, (alpha,)))
         return b_lo <= beta <= b_hi
 
     def monomial_exponents(self, point: LatticePoint) -> tuple[int, int, int]:
@@ -122,11 +83,6 @@ def _column_bounds(
         num2 = t * (alpha - e * u) + e * u2 * t3
         lo2 = -((-num2) // t3)  # ceil(num2/t3)
         yield max(lo1, lo2), b_hi
-
-
-def _column_bound(p: HerzogPresentation, e: int, alpha: int) -> tuple[int, int]:
-    """(b_lo, b_hi) of the single column alpha, by the formula of `_column_bounds`."""
-    return next(_column_bounds(p, e, (alpha,)))
 
 
 def enumerate_points(

@@ -51,32 +51,14 @@ class CurveTriple:
             and math.gcd(self.b, self.c) == 1
         )
 
-    def swapped_ab(self) -> "CurveTriple":
-        return CurveTriple(self.b, self.a, self.c)
-
-
-def representable(M: int, p: int, q: int) -> tuple[int, int] | None:
-    """Minimal-j solution of M = i*p + j*q with i, j >= 0, or None.
-
-    Equivalent to scanning j = 0..M//q for p | (M - j*q); the smallest
-    admissible j is computed directly as M * q^{-1} mod p, which keeps the
-    semigroup searches fast for weights up to 10**9.  Requires gcd(p, q) = 1.
-    """
-    if M < 1 or p < 1 or q < 1:
-        raise ValueError("arguments must be positive")
-    j = (M * pow(q, -1, p)) % p if p > 1 else 0
-    if j * q > M:
-        return None
-    return (M - j * q) // p, j
-
 
 def _minimal_multiple(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
     """Least k >= 1 with k*w in N0*p + N0*q, plus the minimal-j witness.
 
-    The witness is what `representable(k*w, p, q)` returns: its minimal j is
-    k*w*q^{-1} mod p, advanced here by one addition per k.  For a
+    The witness (i, j) solves k*w = i*p + j*q with the least j >= 0, which
+    is k*w*q^{-1} mod p, advanced here by one addition per k.  For a
     three-generated triple it is the pair of exponents of the generator of
-    degree k*w (see ``compute_presentation``).
+    degree k*w (see ``compute_presentation``).  Requires gcd(p, q) = 1.
     """
     # every integer beyond the Frobenius bound pq - p - q is representable
     cap = max(1, (p * q - p - q) // w + 1)
@@ -95,9 +77,13 @@ def _minimal_multiple(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
 class HerzogPresentation:
     """Exponent datum of the three binomial generators.
 
-    Invariants (checked on construction): s = s2 + s3, t = t1 + t3,
-    u = u1 + u2, the degree identities s*a = t1*b + u1*c etc., and the
-    closed forms a = t*u - t3*u2, b = s*u - s3*u1, c = s*t - s2*t1.
+    Its identities are checked on construction: all six exponents >= 1,
+    s = s2 + s3, t = t1 + t3, u = u1 + u2, the degree identities
+    s*a = t1*b + u1*c etc., and the closed forms a = t*u - t3*u2,
+    b = s*u - s3*u1, c = s*t - s2*t1.  Only ``compute_presentation`` makes
+    it the presentation of p(a, b, c): a datum built directly, such as a
+    scaled member of the family in ``symrees.polynomials``, need not have
+    pairwise coprime weights.
     """
 
     triple: CurveTriple

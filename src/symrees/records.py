@@ -111,23 +111,6 @@ def to_dict(record: VerdictRecord, *, with_timing: bool = True) -> dict[str, Any
     return data
 
 
-def from_dict(data: dict[str, Any]) -> VerdictRecord:
-    return VerdictRecord(
-        triple=tuple(data["triple"]),
-        presentation=data["presentation"],
-        assumptions=data["assumptions"],
-        eu=data["eu"],
-        gk=data["gk"],
-        witness_exists=data["witness_exists"],
-        noetherian=data["noetherian"],
-        reason=data["reason"],
-        points=data["points"],
-        dim_piece_u=data["dim_piece_u"],
-        timing_ms=data.get("timing_ms"),
-        version=data.get("version", __version__),
-    )
-
-
 def _tri(value) -> str:
     return "" if value is None else ("true" if value else "false")
 

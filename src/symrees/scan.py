@@ -2,9 +2,10 @@
 
 Workers share nothing mutable; results are merged back in input order, so
 the output stream is byte-identical for a given job regardless of the
-parallelism degree.  Every record produced under validated hypotheses is
-checked against the proved cross-criteria implications; a violation aborts
-the scan with a diagnostic, since it would falsify the implementation.
+parallelism degree.  ``classify`` checks every verdict under validated
+hypotheses against the proved cross-criteria implications; a violation
+raises InternalConsistencyError and aborts the scan, since it would falsify
+the implementation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .presentation import CurveTriple
 from .records import VerdictRecord, from_verdict
-from .witness import InternalConsistencyError, classify
+from .witness import classify
 
 
 @dataclass(frozen=True)
@@ -56,32 +57,8 @@ def iter_triples(job: ScanJob) -> Iterator[tuple[int, int, int]]:
                     yield (a, b, c)
 
 
-def _check_record_invariants(record: VerdictRecord) -> None:
-    if not record.assumptions["all_hold"]:
-        return
-    eu = record.eu["holds"]
-    gk = record.gk["holds"]
-    we = record.witness_exists
-    triple = record.triple
-    if eu and not we:
-        raise InternalConsistencyError(f"{triple}: EU holds but witness missing")
-    if gk and we:
-        raise InternalConsistencyError(f"{triple}: GK holds but witness exists")
-    if record.presentation["u"] <= 6:
-        if eu == gk:
-            raise InternalConsistencyError(
-                f"{triple}: u <= 6 but EU={eu} and GK={gk} are not exclusive"
-            )
-        if record.noetherian != eu:
-            raise InternalConsistencyError(
-                f"{triple}: u <= 6 verdict {record.noetherian} does not match EU={eu}"
-            )
-
-
 def classify_one(args: tuple[int, int, int]) -> VerdictRecord:
-    record = from_verdict(classify(CurveTriple(*args)))
-    _check_record_invariants(record)
-    return record
+    return from_verdict(classify(CurveTriple(*args)))
 
 
 def _keep(record: VerdictRecord, job: ScanJob) -> bool:

@@ -62,14 +62,6 @@ class NoWitnessError(RuntimeError):
     """Witness extraction requested although none exists."""
 
 
-def derivative_orders(n: int) -> list[tuple[int, int]]:
-    """(k, l) with k + l < n, ordered by total order then l ascending.
-
-    Frozen ordering: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...
-    """
-    return [(total - l, l) for total in range(n) for l in range(total + 1)]
-
-
 def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     # binomials C(v, 0..n-1) for arbitrary integer v: ff(v, k) / k!
     table = {}
@@ -235,11 +227,6 @@ class WitnessElement:
     e: int
     n: int
 
-    def integerized(self) -> dict[LatticePoint, int]:
-        """Same vector scaled by the lcm of denominators."""
-        scale = math.lcm(*(c.denominator for c in self.coefficients.values()))
-        return {pt: int(c * scale) for pt, c in self.coefficients.items()}
-
     def monomials(self, p: HerzogPresentation) -> list[tuple[int, int, int, Fraction]]:
         """Expansion as (x_exp, y_exp, z_exp, coefficient) terms."""
         region = DeltaRegion(p, self.e)
@@ -394,7 +381,8 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
     """Full pipeline: presentation, hypotheses, EU, GK, witness test.
 
     Cross-checks the proved implications on the way (EU forces a witness,
-    GK forbids one) and raises InternalConsistencyError if they ever fail.
+    GK forbids one, and for u <= 6 exactly one of EU and GK holds) and
+    raises InternalConsistencyError if they ever fail.
     """
     try:
         pres = compute_presentation(triple)
@@ -432,6 +420,10 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:
         raise InternalConsistencyError(f"GK holds but witness found on {triple}")
+    # so EU and GK exclude each other; for u <= 6 one of them holds, which
+    # makes the verdict the EU verdict
+    if pres.u <= 6 and not (eu.holds or gk.holds):
+        raise InternalConsistencyError(f"u <= 6 but neither EU nor GK holds on {triple}")
     return Verdict(
         triple=triple,
         presentation=pres,

@@ -9,9 +9,13 @@ Fraction coefficients and term by term over integers, the witness
 extraction over every lattice point of the triangle, the derivative system
 over the lattice points in its falling-factorial (spec) and binomial-scaled
 forms (the package eliminates a Lagrange row basis instead), the Lagrange
-row basis built densely from one Pascal table, the GK interval counts in Fraction arithmetic, a Fraction front end
-to the integer interval count, the ``dataclasses.asdict`` record
-encoding, and every representation of an integer by two coprime weights.
+row basis built densely from one Pascal table, the GK interval counts in
+Fraction arithmetic, a Fraction front end to the integer interval count,
+the ``dataclasses.asdict`` record encoding, every representation of an
+integer by two coprime weights and the minimal-j one per integer, and the
+triangle's slopes, vertices and column ordinates as fractions.  Some small
+helpers that only tests need live here too: the derivative order sequence,
+the record decoder, the integer-scaled witness and the (a, b) swap.
 """
 
 from __future__ import annotations
@@ -25,9 +29,20 @@ from typing import Sequence
 
 from symrees.lattice import LatticePoint, enumerate_points, interval_count
 from symrees.linalg import Echelon, _echelon
-from symrees.witness import WitnessElement, _binom_table, derivative_orders
+from symrees.presentation import CurveTriple
+from symrees.records import VerdictRecord
+from symrees.witness import WitnessElement, _binom_table
 
 Rat = int | Fraction
+
+
+def derivative_orders(n: int) -> list[tuple[int, int]]:
+    """(k, l) with k + l < n, ordered by total order then l ascending.
+
+    Frozen ordering: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...  There
+    are n(n+1)/2 of them, the constraint count ``symrees piece-dim`` prints.
+    """
+    return [(total - l, l) for total in range(n) for l in range(total + 1)]
 
 
 def row_to_ints(row: Sequence[Rat]) -> list[int]:
@@ -509,3 +524,70 @@ def all_representations(M: int, p: int, q: int) -> list[tuple[int, int]]:
         out.append(((M - j * q) // p, j))
         j += p
     return out
+
+
+def representable(M: int, p: int, q: int) -> tuple[int, int] | None:
+    """Minimal-j solution of M = i*p + j*q with i, j >= 0, or None.
+
+    The smallest admissible j is M * q^{-1} mod p, computed directly for
+    each M; the oracle of ``presentation._minimal_multiple``, which advances
+    the same j by one addition per multiple.  Requires gcd(p, q) = 1.
+    """
+    if M < 1 or p < 1 or q < 1:
+        raise ValueError("arguments must be positive")
+    j = (M * pow(q, -1, p)) % p if p > 1 else 0
+    if j * q > M:
+        return None
+    return (M - j * q) // p, j
+
+
+def slopes(region) -> tuple[Fraction, Fraction, Fraction]:
+    """(lower left, upper, lower right) boundary slopes of e*D: -s2/s3, u2/u, t/t3."""
+    p = region.presentation
+    return Fraction(-p.s2, p.s3), Fraction(p.u2, p.u), Fraction(p.t, p.t3)
+
+
+def vertices(region) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The vertices (0, 0), e*(u, u2) and e*(a*s3/c, -a*s2/c) of e*D."""
+    p, e = region.presentation, region.e
+    return (
+        (Fraction(0), Fraction(0)),
+        (Fraction(e * p.u), Fraction(e * p.u2)),
+        (Fraction(e * p.a * p.s3, p.c), Fraction(-e * p.a * p.s2, p.c)),
+    )
+
+
+def beta_range(region, alpha: int) -> tuple[Fraction, Fraction]:
+    """Exact lower and upper boundary ordinates of column alpha of e*D."""
+    p, e = region.presentation, region.e
+    lower_left, upper, lower_right = slopes(region)
+    lo = max(lower_left * alpha, lower_right * (alpha - e * p.u) + e * p.u2)
+    return lo, upper * alpha
+
+
+def from_dict(data: dict) -> VerdictRecord:
+    """The record a ``records.to_dict`` encoding came from."""
+    return VerdictRecord(
+        triple=tuple(data["triple"]),
+        presentation=data["presentation"],
+        assumptions=data["assumptions"],
+        eu=data["eu"],
+        gk=data["gk"],
+        witness_exists=data["witness_exists"],
+        noetherian=data["noetherian"],
+        reason=data["reason"],
+        points=data["points"],
+        dim_piece_u=data["dim_piece_u"],
+        timing_ms=data.get("timing_ms"),
+        version=data["version"],
+    )
+
+
+def integerized(witness: WitnessElement) -> dict[LatticePoint, int]:
+    """The witness vector scaled by the lcm of its denominators."""
+    scale = math.lcm(*(c.denominator for c in witness.coefficients.values()))
+    return {pt: int(c * scale) for pt, c in witness.coefficients.items()}
+
+
+def swapped_ab(triple: CurveTriple) -> CurveTriple:
+    return CurveTriple(triple.b, triple.a, triple.c)

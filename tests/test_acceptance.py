@@ -81,16 +81,17 @@ def test_criterion_3_triple_17_503_169():
 def test_criterion_4_family_instance():
     def run():
         params = generate_family(Fraction(6, 5), Fraction(49, 24), 1, 1)
-        assert params.weights == (16, 683, 97)
-        f, g, h = build_generators(params)
-        assert check_minor_relations(f, g, h, params)
-        xi = build_xi(params)  # clauses (i)-(iii) verified inside
-        build_zeta(params, xi)
-        assert staircase_length(second_power_slice_ideal(params)) == 48 == 3 * params.a
-        assert staircase_length(third_power_slice_ideal(params)) == 96 == 6 * params.a
-        assert check_product_power_gap(params) == (241, 240, 1)
-        assert xi.weighted_degree(params.weights) == 2049
-        assert is_negative_curve(2049, 2, params.weights)
+        p = params.presentation
+        assert p.triple == CurveTriple(16, 683, 97)
+        f, g, h = build_generators(p)
+        assert check_minor_relations(f, g, h, p)
+        xi = build_xi(p)  # clauses (i)-(iii) verified inside
+        build_zeta(p, xi)
+        assert staircase_length(second_power_slice_ideal(p)) == 48 == 3 * p.a
+        assert staircase_length(third_power_slice_ideal(p)) == 96 == 6 * p.a
+        assert check_product_power_gap(p) == (241, 240, 1)
+        assert xi.weighted_degree((16, 683, 97)) == 2049
+        assert is_negative_curve(2049, 2, (16, 683, 97))
         assert 2049**2 < 4 * 16 * 683 * 97
         assert all(chk.ok for chk in verify_family_report(params))
         return params

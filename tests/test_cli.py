@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from symrees.cli import main
-from symrees.records import CSV_COLUMNS, from_dict, from_verdict, to_dict
+from oracles import from_dict
+from symrees.records import CSV_COLUMNS, from_verdict, to_dict
 from symrees.presentation import CurveTriple
 from symrees.witness import classify
 

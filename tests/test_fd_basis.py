@@ -20,6 +20,7 @@ import symrees.witness
 from oracles import (
     assert_lazy_echelon_matches_eager,
     dense_system_rows,
+    derivative_orders,
     point_system_decision,
     point_system_witness,
 )
@@ -38,7 +39,6 @@ from symrees.witness import (
     _system_rows,
     NoWitnessError,
     classify,
-    derivative_orders,
     extract_witness,
     huneke_witness_exists,
     piece_dimension,

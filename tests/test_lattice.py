@@ -7,10 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    beta_range,
     fraction_left_count,
     fraction_nm,
     fraction_right_count,
     interval_lattice_count,
+    slopes,
+    vertices,
 )
 from symrees.criteria import _left_count, _right_count
 from symrees.lattice import (
@@ -72,10 +75,8 @@ def test_last_column_has_single_point(validated_30):
 
 def test_region_slopes_and_vertices_8_19_9():
     region = DeltaRegion(pres(8, 19, 9), 1)
-    assert region.slope_lower_left == Fraction(-6)
-    assert region.slope_upper == Fraction(1, 3)
-    assert region.slope_lower_right == Fraction(3)
-    v0, v1, v2 = region.vertices
+    assert slopes(region) == (Fraction(-6), Fraction(1, 3), Fraction(3))
+    v0, v1, v2 = vertices(region)
     assert v0 == (0, 0)
     assert v1 == (3, 1)
     assert v2 == (Fraction(8, 9), Fraction(-16, 3))
@@ -103,7 +104,7 @@ def test_scaled_region_contains_scaled_integer_vertices(validated_30):
             region = DeltaRegion(p, e)
             assert region.contains(0, 0)
             assert region.contains(e * p.u, e * p.u2)
-            d1, d2 = region.vertices[2]
+            d1, d2 = vertices(region)[2]
             if d1.denominator == 1 and d2.denominator == 1:
                 assert region.contains(int(d1), int(d2))
 
@@ -145,7 +146,7 @@ def test_column_bounds_match_exact_boundary_arithmetic(validated_30):
             points = enumerate_points(p, e)
             assert count_points(p, e) == len(points), (p.triple, e)
             for alpha in range(e * p.u + 1):
-                lo, hi = region.beta_range(alpha)
+                lo, hi = beta_range(region, alpha)
                 betas = sorted(pt.beta for pt in points if pt.alpha == alpha)
                 expected = list(range(math.ceil(lo), math.floor(hi) + 1))
                 assert betas == expected, (p.triple, e, alpha)

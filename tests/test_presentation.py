@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symrees.presentation
-from oracles import all_representations
+from oracles import all_representations, representable
 from symrees import criteria, witness
 from symrees.cli import main
 from symrees.presentation import (
@@ -15,7 +15,6 @@ from symrees.presentation import (
     NotThreeGeneratedError,
     compute_presentation,
     negative_curve_condition,
-    representable,
     validate_assumptions,
     _minimal_multiple,
 )

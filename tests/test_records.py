@@ -3,8 +3,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from oracles import asdict_record
-from symrees.records import VerdictRecord, from_dict, to_dict
+from oracles import asdict_record, from_dict
+from symrees.records import VerdictRecord, to_dict
 from symrees.scan import ScanJob, run_scan
 
 

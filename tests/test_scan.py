@@ -56,26 +56,6 @@ def test_classify_one_record_shape():
     assert record.version
 
 
-def test_record_invariant_checker_aborts_on_violations():
-    from dataclasses import replace
-
-    from symrees.scan import _check_record_invariants
-    from symrees.witness import InternalConsistencyError
-
-    good = classify_one((8, 19, 9))
-    _check_record_invariants(good)
-    bad = replace(good, witness_exists=False, noetherian=False)
-    with pytest.raises(InternalConsistencyError):
-        _check_record_invariants(bad)
-    bad_gk = replace(
-        good,
-        eu=dict(good.eu, holds=False),
-        gk=dict(good.gk, holds=True, five_way="GK1"),
-    )
-    with pytest.raises(InternalConsistencyError):
-        _check_record_invariants(bad_gk)
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_bytes_match_recorded_digest(jobs):
     # the JSON-lines encoding of the bound-12 table, as `symrees scan` writes it

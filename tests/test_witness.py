@@ -10,6 +10,8 @@ import symrees.witness
 from oracles import (
     assert_lazy_echelon_matches_eager,
     build_matrix,
+    derivative_orders,
+    integerized,
     mul_vector,
     rref_null_space,
     scaled_system,
@@ -24,7 +26,6 @@ from symrees.witness import (
     NoWitnessError,
     Verdict,
     classify,
-    derivative_orders,
     extract_witness,
     huneke_witness_exists,
     piece_dimension,
@@ -116,7 +117,7 @@ def test_extracted_witness_8_19_9():
     assert sum(w.coefficients.values()) == 0  # the (0,0) constraint row
     assert shift_membership_test(w.coefficients, 3)
     # frozen deterministic witness
-    assert w.integerized() == {
+    assert integerized(w) == {
         LatticePoint(0, 0): 1,
         LatticePoint(1, -2): 1,
         LatticePoint(1, -1): -1,
@@ -434,6 +435,28 @@ def test_presentation_entry_points_keep_both_cross_checks(monkeypatch):
     for entry in (huneke_witness_exists, extract_witness):
         with pytest.raises(InternalConsistencyError, match="GK holds"):
             entry(with_witness)
+
+
+def test_every_entry_point_keeps_the_u_le_6_dichotomy(monkeypatch):
+    # for u <= 6 exactly one of EU and GK holds: EU forged away on a triple
+    # with a witness, and GK forged away on one without, must both be caught,
+    # by classify too
+    with_witness, no_witness = pres(8, 19, 9), pres(25, 29, 72)  # u = 3 and 3
+    check_eu, check_gk = symrees.witness.check_eu, symrees.witness.check_gk
+    entries = (lambda q: classify(q.triple), huneke_witness_exists, extract_witness)
+    monkeypatch.setattr(symrees.witness, "check_eu", lambda p: replace(check_eu(p), holds=False))
+    for entry in entries:
+        with pytest.raises(InternalConsistencyError, match="neither EU nor GK"):
+            entry(with_witness)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        symrees.witness,
+        "check_gk",
+        lambda p, **kw: replace(check_gk(p, **kw), def_I_holds=False, def_II_holds=False),
+    )
+    for entry in entries:
+        with pytest.raises(InternalConsistencyError, match="neither EU nor GK"):
+            entry(no_witness)
 
 
 def test_verdicts_match_criteria_on_validated_pool(validated_30):

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symrees.witness
-from oracles import point_system_witness, shift_membership_per_term
+from oracles import beta_range, point_system_witness, shift_membership_per_term, vertices
 from symrees.lattice import DeltaRegion, _column_bounds, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
@@ -164,11 +164,11 @@ def test_contains_matches_rational_description(validated_30):
     for p in validated_30:
         for e in (1, 2, 3):
             region = DeltaRegion(p, e)
-            ys = [y for _, y in region.vertices]
+            ys = [y for _, y in vertices(region)]
             b_lo, b_hi = math.ceil(min(ys)), math.floor(max(ys))
             for alpha in range(-1, e * p.u + 2):
                 inside_columns = 0 <= alpha <= e * p.u
-                lo, hi = region.beta_range(alpha) if inside_columns else (None, None)
+                lo, hi = beta_range(region, alpha) if inside_columns else (None, None)
                 for beta in range(b_lo - 2, b_hi + 3):
                     want = inside_columns and lo <= beta <= hi
                     assert region.contains(alpha, beta) == want, (p.triple, e, alpha, beta)
