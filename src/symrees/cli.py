@@ -318,16 +318,20 @@ def _cmd_verify_family(args) -> int:
     p = params.presentation
     a, b, c = p.a, p.b, p.c
     gcd_abc = math.gcd(a, b, c)
+    coprime = p.triple.pairwise_coprime()
     print(f"parameters   alpha={params.alpha} beta={params.beta} m={params.m} n={params.n}")
     print(f"exponents    s2={p.s2} s3={p.s3} t1=1 t3=1 u1={p.u1} u2={p.u2}")
     print(f"weights      (a, b, c) = ({a}, {b}, {c}), gcd = {gcd_abc}, "
-          f"pairwise coprime = {p.triple.pairwise_coprime()}")
+          f"pairwise coprime = {coprime}")
     if math.gcd(params.m, params.n) != 1:
         print(f"warning: m={params.m} and n={params.n} are not coprime")
     if gcd_abc != 1:
         print(f"warning: gcd(a, b, c) = {gcd_abc} != 1 "
               f"(needs m odd and further coprimality of the scales); "
               f"the infinite-generation conclusion does not apply")
+    elif not coprime:
+        print("warning: a, b, c are not pairwise coprime; "
+              "the infinite-generation conclusion does not apply")
     checks = verify_family_report(params)
     failed = [chk for chk in checks if not chk.ok]
     for chk in checks:
@@ -336,7 +340,7 @@ def _cmd_verify_family(args) -> int:
         print(f"[{status}] {chk.label}{detail}")
     if failed:
         return 4
-    if gcd_abc == 1:
+    if coprime:
         print("conclusion: symbolic Rees ring of p(a, b, c) is infinitely generated")
         print("note: the negative curve sits in the second symbolic power, outside the "
               "classifier hypotheses; `classify` deliberately reports inapplicable here")

@@ -6,9 +6,10 @@ Fraction reduced row echelon form (unique, so it pins down ranks, pivots
 and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
 matrix-vector products, the shift-substitution membership test with
 Fraction coefficients and term by term over integers, the witness
-extraction over every lattice point of the triangle, the derivative system
-over the lattice points in its falling-factorial (spec) and binomial-scaled
-forms (the package eliminates a Lagrange row basis instead), the Lagrange
+extraction over every lattice point of the triangle, the finite-difference
+decision over every column of that basis, unit pivots included, the
+derivative system over the lattice points in its falling-factorial (spec)
+and binomial-scaled forms (the package eliminates a Lagrange row basis instead), the Lagrange
 row basis built densely from one Pascal table, the GK interval counts in
 Fraction arithmetic, a Fraction front end to the integer interval count,
 the ``dataclasses.asdict`` record encoding, every representation of an
@@ -27,11 +28,11 @@ from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Sequence
 
-from symrees.lattice import LatticePoint, enumerate_points, interval_count
+from symrees.lattice import LatticePoint, _column_bounds, enumerate_points, interval_count
 from symrees.linalg import Echelon, _echelon
 from symrees.presentation import CurveTriple
 from symrees.records import VerdictRecord
-from symrees.witness import WitnessElement, _binom_table
+from symrees.witness import WitnessElement, _binom_table, _system_rows
 
 Rat = int | Fraction
 
@@ -168,13 +169,13 @@ def lagrange_table(top: int, n: int) -> list[list[list[int]]]:
     return table
 
 
-def dense_system_rows(cols, n: int) -> list[list[int]]:
+def dense_system_rows(cols, n: int, drop=frozenset()) -> list[list[int]]:
     """The rows of ``witness._system_rows``, every entry computed.
 
     Row (i, l) holds L_i^(n-l)(alpha) * f[l] at every column (alpha, f),
-    from one Pascal table (``lagrange_table``), zeros included; all-zero
-    rows are dropped and the rest sorted by zero count, most zeros first
-    (stable).
+    from one Pascal table (``lagrange_table``), zeros included; the rows
+    with i in ``drop`` and the all-zero rows are left out and the rest
+    sorted by zero count, most zeros first (stable).
     """
     alphas = [al for al, _ in cols]
     ncols = len(cols)
@@ -190,7 +191,9 @@ def dense_system_rows(cols, n: int) -> list[list[int]]:
         tail = factors[start:]
         # the spare index keeps a tuple when one column is left; map stops at tail
         gather = itemgetter(*alphas[start:], 0)
-        for values in lagrange[n - l]:
+        for i, values in enumerate(lagrange[n - l]):
+            if i in drop:
+                continue
             row = lead + list(map(mul, tail, gather(values)))
             zeros = row.count(0)
             if zeros < ncols:
@@ -216,6 +219,43 @@ def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
     unit = [0] * len(points)
     unit[points.index(LatticePoint(0, 0))] = 1
     reduced = _echelon(scaled_rows(points, n), len(points), unit)
+    return reduced.rank, not any(reduced.guard)
+
+
+def full_fd_columns(p, e: int, n: int) -> list[tuple[int, list[int]]]:
+    """Every column of the (e, n) system in the finite-difference basis.
+
+    Column (alpha, j), j < min(l_alpha, n), is v^alpha w^b_lo (w-1)^j, with
+    beta factor C(b_lo, l-j) in the rows of order l in w (zero when l < j);
+    (0, 0) first, then j descending, alpha ascending.  The package takes the
+    unit pivots of the full groups out of this set before it builds rows.
+    """
+    groups = [
+        (alpha, b_lo, min(b_hi - b_lo + 1, n))
+        for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
+        if b_hi >= b_lo
+    ]
+    binom_b = _binom_table({b_lo for _, b_lo, _ in groups}, n)
+    cols = [(0, binom_b[0])]
+    for j in range(max(width for _, _, width in groups) - 1, -1, -1):
+        cols += [
+            (al, [0] * j + binom_b[b_lo][:n - j])
+            for al, b_lo, width in groups
+            if al and j < width
+        ]
+    return cols
+
+
+def full_fd_decision(p, e: int, n: int) -> tuple[int, bool]:
+    """(rank, constant term forced) from one elimination of every finite-difference column.
+
+    The route the verdict took before the unit pivots of the full groups
+    were split off: the rows of ``witness._system_rows`` over
+    ``full_fd_columns``, none dropped (the tests check them against
+    ``dense_system_rows``), with the unit at (0, 0) as the guard.
+    """
+    cols = full_fd_columns(p, e, n)
+    reduced = _echelon(_system_rows(cols, n), len(cols), [1] + [0] * (len(cols) - 1))
     return reduced.rank, not any(reduced.guard)
 
 

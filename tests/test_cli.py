@@ -358,10 +358,11 @@ _FAMILY_PINS = [
         "parameters   alpha=6/5 beta=49/24 m=3 n=2\n"
         "exponents    s2=147 s3=72 t1=1 t3=1 u1=10 u2=12\n"
         "weights      (a, b, c) = (32, 4098, 291), gcd = 1, pairwise coprime = False\n"
+        "warning: a, b, c are not pairwise coprime; "
+        "the infinite-generation conclusion does not apply\n"
         + _FAMILY_CHECKS.format(
             deg2=151142436, abc4=152642304, len2=96, len3=192, lp=482, ls=480, gap=2
-        )
-        + _FAMILY_CONCLUSION,
+        ),
         "",
     ),
     (["--alpha", "4/3", "--beta", "49/24"], 2, "", "rejected: alpha=4/3 violates 1 < alpha < 5/4\n"),

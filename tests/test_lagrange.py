@@ -2,11 +2,13 @@
 
 For each order l in w the package replaces the rows C(alpha, k) * f[l],
 k < m = n - l, by L_i^(m)(alpha) * f[l], i < m, with L_i^(m) the integer
-Lagrange basis at the nodes 0..m-1.  The values of ``_lagrange_values`` and
-of the dense Pascal-table oracle are checked against the Fraction product,
-the change of basis against the binomial basis, the rows against the
+Lagrange basis at the nodes 0..m-1.  The values of ``_lagrange_values`` (a
+recurrence in m, one table per system) and of the dense Pascal-table oracle
+are checked against the Fraction product and against each other, the
+change of basis against the binomial basis, the rows against the
 binomial-scaled system of ``oracles.scaled_rows``, and the sparse row
-builder against the dense one, entry for entry and in the same order.
+builder against the dense one, entry for entry and in the same order, with
+and without dropped node rows.
 """
 
 import random
@@ -53,9 +55,31 @@ def determinant(matrix):
 
 
 def lagrange_columns(m, top):
-    # values[i][alpha] = L_i^(m)(alpha), alpha = 0..top, from the package
+    # values[i][alpha] = L_i^(m)(alpha), alpha = 0..top: the package's values
+    # beyond the nodes, delta(i, alpha) on them
     by_alpha = _lagrange_values(m, range(top + 1))
-    return [[by_alpha[alpha][i] for alpha in range(top + 1)] for i in range(m)]
+    return [
+        [by_alpha[alpha][m][i] if alpha >= m else int(i == alpha) for alpha in range(top + 1)]
+        for i in range(m)
+    ]
+
+
+def test_lagrange_recurrence_matches_the_table_for_every_order():
+    # one table per system of order n holds L^(m)(alpha) for every m <= n
+    # beyond the nodes (m <= alpha), and with dropped indices the kept i only
+    rng = random.Random(11)
+    for n in range(1, 25):
+        top = 2 * n + 3
+        table = lagrange_table(top, n)
+        drop = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        full = _lagrange_values(n, range(top + 1))
+        kept = _lagrange_values(n, range(top + 1), drop)
+        for alpha in range(top + 1):
+            assert len(full[alpha]) == len(kept[alpha]) == min(alpha, n) + 1, (n, alpha)
+            for m in range(min(alpha, n) + 1):
+                want = [table[m][i][alpha] for i in range(m)]
+                assert full[alpha][m] == want, (n, alpha, m)
+                assert kept[alpha][m] == [x for i, x in enumerate(want) if i not in drop]
 
 
 def test_lagrange_table_values():
@@ -108,7 +132,8 @@ def test_lagrange_table_small_top():
 
 def test_system_rows_match_the_dense_builder():
     # rows and order, on random point sets with negative ordinates, repeats in
-    # a column, alphas beyond the nodes and columns that vanish at some orders
+    # a column, alphas beyond the nodes and columns that vanish at some orders;
+    # then without the node rows of alphas that have no column on their nodes
     rng = random.Random(7)
     for _ in range(300):
         alphas = rng.sample(range(15), rng.randint(1, 7))
@@ -118,6 +143,8 @@ def test_system_rows_match_the_dense_builder():
         n = rng.randint(1, 8)
         cols = _point_columns(points, n)
         assert _system_rows(cols, n) == dense_system_rows(cols, n), (points, n)
+        drop = frozenset(rng.sample(range(n), rng.randint(0, n))) - set(alphas)
+        assert _system_rows(cols, n, drop) == dense_system_rows(cols, n, drop), (points, n, drop)
 
 
 def test_system_rows_span_the_binomial_row_space():

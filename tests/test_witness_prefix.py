@@ -110,7 +110,7 @@ def test_prefix_witness_on_triangles_far_larger_than_the_prefixes():
 @given(st.integers(3, 200), st.integers(3, 200), st.integers(3, 200))
 def test_prefix_witness_matches_point_system_property(a, b, c):
     # the prefix argument needs only n = u, not the hypotheses, so any
-    # three-binomial triple is compared through _witness_test
+    # three-binomial triple is compared through the point system of _witness_test
     while math.gcd(a, b) != 1:
         b += 1
     while math.gcd(a * b, c) != 1:
@@ -120,7 +120,8 @@ def test_prefix_witness_matches_point_system_property(a, b, c):
     except NotThreeGeneratedError:
         assume(False)
     assume(p.u <= 16 and count_points(p, 1) <= 400)
-    assert_same_witness(_witness_test(p, want_witness=True), point_system_witness(p), p.triple)
+    got = _witness_test(p, want_witness=True, decide_first=False)
+    assert_same_witness(got, point_system_witness(p), p.triple)
 
 
 def test_witness_system_has_one_column_per_prefix_point(monkeypatch, validated_30):
@@ -134,7 +135,7 @@ def test_witness_system_has_one_column_per_prefix_point(monkeypatch, validated_3
     monkeypatch.setattr(symrees.witness, "_echelon", recording)
     sample = validated_30[::3] + [pres(5883, 4379, 1466)]
     for p in sample:
-        _witness_test(p, want_witness=True)
+        _witness_test(p, want_witness=True, decide_first=False)
     want = [
         sum(min(b_hi - b_lo + 1, p.u) for b_lo, b_hi in _column_bounds(p, 1) if b_hi >= b_lo)
         for p in sample
