@@ -16,8 +16,8 @@ echelon form, so the kernel basis read here is the canonical one.  Entries
 are plain Python ints.  With the rows in the Lagrange basis of
 ``witness._system_rows``, the largest entry stored during elimination is
 41 bits on the witness systems of the witness-extract benchmark pool and
-60 bits on the finite-difference systems of the rank-deep pool, with or
-without the unit pivots of the full column groups; the witness system of a
+167 bits on the finite-difference systems of the rank-deep pool (60 bits
+before the full column groups were taken out); the witness system of a
 rank-deep pool triple reaches 87 bits.
 """
 

@@ -20,21 +20,21 @@ When such a witness exists the ring is finitely generated; otherwise not
 (always under the validated hypotheses).
 
 The verdict, the rank and the piece dimensions are decided in an equivalent
-finite-difference column basis built from the column bounds alone.  Before
-that system is built, every column group alpha >= 1 with at least n points
-is put in the basis (w-1)^l, l < n, where its columns of order
-l < n - alpha are unit vectors at the node rows (i = alpha, l): those rows
-and columns are counted, not eliminated, which keeps the rank and the
-constant-term test (see ``_fd_columns``).  On the rank-deep benchmark pool
-this takes 22,357 of 47,970 rows and 1,044,806 of 1,530,190 nonzeros out of
-a pass.  A witness request is decided in the same basis first, unless EU
-holds; only when a witness exists does extraction build lattice points,
-because the canonical witness is defined by the reduced row echelon form in
-point order.  It keeps the first min(l_alpha, u) points of each column, at
-most u^2 + 1 in all, which gives the same rank, existence and witness as
-every point of the triangle (see ``_witness_test``).  Both column sets go
-through the one row builder.  The re-checks of an emitted witness,
-membership in the triangle and ``shift_membership_test``, run in integers.
+finite-difference column basis built from the column bounds alone.  Each
+column group alpha >= 1 with at least n points spans every jet modulo
+(w-1)^n; it is taken out before that system is built and lowers its order
+by one, which keeps the constant-term test and accounts for a known share
+of the rank (see ``_fd_columns``).  On the rank-deep benchmark pool this
+takes a pass from 47,970 to 14,654 rows, from 66,469 to 17,533 columns and
+from 1,530,190 to 276,906 nonzeros.  A witness request is decided in the
+same basis first, unless EU holds; only when a witness exists does
+extraction build lattice points, because the canonical witness is defined
+by the reduced row echelon form in point order.  It keeps the first
+min(l_alpha, u) points of each column, at most u^2 + 1 in all, which gives
+the same rank, existence and witness as every point of the triangle (see
+``_witness_test``).  Both column sets go through the one row builder.  The
+re-checks of an emitted witness, membership in the triangle and
+``shift_membership_test``, run in integers.
 """
 
 from __future__ import annotations
@@ -79,16 +79,14 @@ def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     return table
 
 
-def _lagrange_values(
-    n: int, alphas, drop: frozenset[int] = frozenset()
-) -> dict[int, list[list[int]]]:
+def _lagrange_values(n: int, alphas) -> dict[int, list[list[int]]]:
     """{alpha: [L^(m)(alpha) for m = 0..min(alpha, n)]}: Lagrange values beyond the nodes.
 
-    L^(m)(alpha) = [L_i^(m)(alpha) for i < m, i not in ``drop``], with L_i^(m)
-    the integer Lagrange basis at the nodes 0..m-1; alpha lies beyond the
-    nodes exactly when m <= alpha.  One table per system, from the Newton
-    form: the interpolant at m nodes adds C(alpha, m-1) times the (m-1)-th
-    forward difference at 0 to the one at m-1 nodes, so for i < m-1
+    L^(m)(alpha) = [L_i^(m)(alpha) for i < m], with L_i^(m) the integer
+    Lagrange basis at the nodes 0..m-1; alpha lies beyond the nodes exactly
+    when m <= alpha.  One table per system, from the Newton form: the
+    interpolant at m nodes adds C(alpha, m-1) times the (m-1)-th forward
+    difference at 0 to the one at m-1 nodes, so for i < m-1
 
         L_i^(m-1)(alpha) = L_i^(m)(alpha) - C(alpha, m-1) * C(m-1, i) * (-1)^(m-1-i).
 
@@ -96,26 +94,21 @@ def _lagrange_values(
     is the last node, or, when alpha >= n, from the closed form at m = n:
     (-1)^(n-1-i) * C(alpha, i) * C(alpha-i-1, n-1-i), which is
     C(alpha, n) * w_i / (alpha - i) with w_i = (-1)^(n-1-i) * n * C(n-1, i),
-    an exact division.  It acts on each i alone, so it runs on the kept i
-    only.
+    an exact division.
     """
-    kept = [i for i in range(n) if i not in drop]
-    # step[m]: (-1)^(m-1-i) * C(m-1, i) for the kept i < m-1
-    step = [
-        [math.comb(m - 1, i) * (-1) ** (m - 1 - i) for i in kept if i < m - 1]
-        for m in range(n + 1)
-    ]
-    weights = [n * math.comb(n - 1, i) * (-1) ** (n - 1 - i) for i in kept]
+    # step[m]: (-1)^(m-1-i) * C(m-1, i) for i < m-1
+    step = [[math.comb(m - 1, i) * (-1) ** (m - 1 - i) for i in range(m - 1)] for m in range(n + 1)]
+    weights = [n * math.comb(n - 1, i) * (-1) ** (n - 1 - i) for i in range(n)]
     values = {}
     for alpha in alphas:
         if alpha >= n:
             m, top = n, math.comb(alpha, n)
-            vals = [top * w // (alpha - i) for i, w in zip(kept, weights)]
+            vals = [top * w // (alpha - i) for i, w in enumerate(weights)]
             c = top * n // (alpha - n + 1)
             table = [vals]
         else:
             m, c = alpha + 1, 1
-            vals = [int(i == alpha) for i in kept if i <= alpha]
+            vals = [0] * alpha + [1]
             table = []
         while m > 1:  # vals = L^(m)(alpha), c = C(alpha, m-1)
             vals = [x - c * w for x, w in zip(vals, step[m])]
@@ -128,9 +121,7 @@ def _lagrange_values(
     return values
 
 
-def _system_rows(
-    cols: list[tuple[int, list[int]]], n: int, drop: frozenset[int] = frozenset()
-) -> list[list[int]]:
+def _system_rows(cols: list[tuple[int, list[int]]], n: int) -> list[list[int]]:
     """Nonzero rows of the order-n derivative system in the interpolating row basis.
 
     A column is (alpha, f), alpha >= 0: f[l] is its beta factor in the rows
@@ -144,20 +135,16 @@ def _system_rows(
     the reduced row echelon form, and with them the verdict and the
     canonical witness, are those of the derivative system.
 
-    The rows (i, l) with i in ``drop`` are left out; no column may sit on
-    their node (see ``_fd_columns``).  Only nonzero entries are written,
-    straight into the rows, which start as zeros.  Row (i, l) is zero on
-    the node columns alpha < n-l except alpha = i, where it holds f[l], and
-    nonzero beyond the nodes wherever f[l] is; the nonzero counts are
-    tallied as the entries are written.  All-zero rows are dropped, and the
-    rows are sorted by nonzero count, sparsest first (stable), which keeps
-    the elimination short.
+    Only nonzero entries are written, straight into the rows, which start
+    as zeros.  Row (i, l) is zero on the node columns alpha < n-l except
+    alpha = i, where it holds f[l], and nonzero beyond the nodes wherever
+    f[l] is; the nonzero counts are tallied as the entries are written.
+    All-zero rows are dropped, and the rows are sorted by nonzero count,
+    sparsest first (stable), which keeps the elimination short.
     """
     ncols = len(cols)
-    lagrange = _lagrange_values(n, {alpha for alpha, _ in cols}, drop)
-    # blocks[l][i]: row (i, l), None when dropped; kept[l]: the rows left
-    blocks = [[None if i in drop else [0] * ncols for i in range(n - l)] for l in range(n)]
-    kept = [[row for row in block if row is not None] for block in blocks]
+    lagrange = _lagrange_values(n, {alpha for alpha, _ in cols})
+    blocks = [[[0] * ncols for _ in range(n - l)] for l in range(n)]  # blocks[l][i]: row (i, l)
     at_node = [[0] * (n - l) for l in range(n)]  # entries of row (i, l) on the nodes
     beyond = [0] * n  # entries of each row of order l beyond the nodes
     for c, (alpha, f) in enumerate(cols):
@@ -167,14 +154,14 @@ def _system_rows(
                 blocks[l][alpha][c] = v
                 at_node[l][alpha] += 1
             else:
-                for row, x in zip(kept[l], lagrange[alpha][n - l]):
+                for row, x in zip(blocks[l], lagrange[alpha][n - l]):
                     row[c] = x * v
                 beyond[l] += 1
     rows = [
         (count + far, row)
         for block, counts, far in zip(blocks, at_node, beyond)
         for count, row in zip(counts, block)
-        if row is not None and count + far
+        if count + far
     ]
     rows.sort(key=itemgetter(0))
     return [row for _, row in rows]
@@ -186,10 +173,8 @@ def _point_columns(points: list[LatticePoint], n: int) -> list[tuple[int, list[i
     return [(al, binom_b[be]) for al, be in points]
 
 
-def _fd_columns(
-    p: HerzogPresentation, e: int, n: int
-) -> tuple[list[tuple[int, list[int]]], frozenset[int]]:
-    """(columns, full) of the (e, n) system in the finite-difference basis, unit pivots taken out.
+def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, list[int]]], int]:
+    """(columns, m) of the (e, n) system in the finite-difference basis, full groups taken out.
 
     Column alpha of e*D holds the points (alpha, b_lo..b_hi), l_alpha of
     them; their monomials w^beta span the same space as w^b_lo (w-1)^j,
@@ -200,54 +185,56 @@ def _fd_columns(
     the single point (0, 0), so the unit vector there is the same in both
     bases.
 
-    A group alpha >= 1 with l_alpha >= n is full.  Its columns
-    w^b_lo (w-1)^j, j < n, span the same space as (w-1)^l, l < n, modulo
-    (w-1)^n, which is all the rows see: the change of basis is unimodular,
-    because (1+r)^b_lo has the integer inverse (1+r)^(-b_lo).  So column
-    (alpha, l) has the beta factor e_l and lives only in the rows of order
-    l in w.  When l < n - alpha, alpha is a Lagrange node of those rows, and
-    the column is the unit vector at row (i = alpha, l).  Deleting that row
-    and that column takes exactly 1 from the rank: column operations with
-    the unit clear the rest of the row, then it splits off.  The constant
-    term test is unchanged too: the unit at (0, 0) is zero on the deleted
-    column, and the column operations never touch column (0, 0), where the
-    row is zero (alpha >= 1 is not the node 0).  So the rank is
-    sum over full alpha of max(0, n - alpha) plus the rank of what remains,
-    the rows (i, l) with i not full (``_system_rows`` with ``drop=full``).
+    A group gamma >= 1 with l_gamma >= n is full: it spans every jet
+    (1+s)^gamma * K[r]/r^n.  Modulo one full group the system is the same
+    system one order lower:
 
-    Column order: (0, 0), then j descending, alpha ascending, which keeps
-    the elimination short; a full group keeps its columns (alpha, l),
-    l >= n - alpha, at the places of (alpha, j = l).
+    * A row of order l is P(alpha) * f[l] with deg P < n - l.
+    * It vanishes on the span of gamma iff P = (x - gamma) * Q with
+      deg Q < (n - 1) - l.
+    * So the rows that vanish on gamma form the order-(n - 1) system, with
+      every other column scaled by alpha - gamma != 0.
+    * So the rank drops by exactly n, and the guard, the unit at (0, 0),
+      which is zero on gamma and whose column is scaled by 0 - gamma != 0,
+      keeps its verdict.
+    * The other full groups are still full at order n - 1, so all f of
+      them come out one at a time.
+
+    So with f full groups the rank is sum_(k < min(f, n)) (n - k) plus the
+    rank of the order-m system, m = max(0, n - f), on the short groups
+    alone, and the constant term is forced exactly when it is forced there.
+    Its columns are (0, 0), then j descending, alpha ascending, for
+    j < min(l_alpha, m), which keeps the elimination short; none when
+    m = 0, where no row is left.
     """
     bounds = [
         (alpha, b_lo, b_hi - b_lo + 1) for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
     ]
-    binom_b = _binom_table({0} | {b_lo for _, b_lo, length in bounds if 0 < length < n}, n)
-    unit = [[int(l == j) for l in range(n)] for j in range(n)]
-    # (alpha, first j, beta factors by j) for each group alpha >= 1
-    groups = [
-        (al, 0, [[0] * j + binom_b[b_lo][:n - j] for j in range(length)])
-        if length < n else (al, max(0, n - al), unit)
-        for al, b_lo, length in bounds[1:]
-        if length > 0
-    ]
+    short = [(al, b_lo, length) for al, b_lo, length in bounds[1:] if 0 < length < n]
+    m = max(0, n - sum(1 for _, _, length in bounds[1:] if length >= n))
+    if not m:
+        return [], 0
+    binom_b = _binom_table({0} | {b_lo for _, b_lo, _ in short}, m)
     cols = [(0, binom_b[0])]  # (0, 0): 1 in the rows of order 0 in w
-    for j in range(max(len(factors) for _, _, factors in groups) - 1, -1, -1):
-        cols += [(al, factors[j]) for al, first, factors in groups if first <= j < len(factors)]
-    return cols, frozenset(al for al, _, length in bounds[1:] if length >= n)
+    for j in range(min(max((length for _, _, length in short), default=0), m) - 1, -1, -1):
+        cols += [(al, [0] * j + binom_b[b_lo][:m - j]) for al, b_lo, length in short if j < length]
+    return cols, m
 
 
 def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
     """(rank, constant term forced) for the (e, n) system, in one elimination.
 
-    The unit pivots of the full groups are counted, not eliminated (see
-    ``_fd_columns``).  The guard is the unit at new column 0, which is
-    (0, 0); the constant term is forced iff it reduces to zero.
+    The full groups are taken out by lowering the order to m (see
+    ``_fd_columns``), which accounts for n(n+1)/2 - m(m+1)/2 of the rank.
+    The guard is the unit at new column 0, which is (0, 0); the constant
+    term is forced iff it reduces to zero.
     """
-    cols, full = _fd_columns(p, e, n)
-    units = sum(max(0, n - al) for al in full)
-    reduced = _echelon(_system_rows(cols, n, full), len(cols), [1] + [0] * (len(cols) - 1))
-    return units + reduced.rank, not any(reduced.guard)
+    cols, m = _fd_columns(p, e, n)
+    peeled = (n * (n + 1) - m * (m + 1)) // 2
+    if not m:
+        return peeled, False
+    reduced = _echelon(_system_rows(cols, m), len(cols), [1] + [0] * (len(cols) - 1))
+    return peeled + reduced.rank, not any(reduced.guard)
 
 
 def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
@@ -255,11 +242,20 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
 
     Computed as (number of lattice points of e*D) minus the rank of the
     derivative system, taken in the finite-difference basis; n = 0 means no
-    constraints.
+    constraints.  With k nonempty columns, the longest of length L, the
+    piece is 0 once n >= k + L - 1, and no system is built: for each point,
+    the product of (alpha - alpha') over the other columns and
+    (beta - beta') over the other points of its column has degree
+    <= k + L - 2 < n and vanishes at every point but that one, so the rows,
+    which span the polynomials of degree < n evaluated at the points, have
+    full rank.
     """
     if e < 1 or n < 0:
         raise ValueError("need e >= 1 and n >= 0")
-    points = count_points(p, e)
+    lengths = [b_hi - b_lo + 1 for b_lo, b_hi in _column_bounds(p, e) if b_hi >= b_lo]
+    if n >= len(lengths) + max(lengths) - 1:
+        return 0
+    points = sum(lengths)
     return points - _fd_decision(p, e, n)[0] if n else points
 
 

@@ -7,7 +7,7 @@ and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
 matrix-vector products, the shift-substitution membership test with
 Fraction coefficients and term by term over integers, the witness
 extraction over every lattice point of the triangle, the finite-difference
-decision over every column of that basis, unit pivots included, the
+decision over every column of that basis, full groups included, the
 derivative system over the lattice points in its falling-factorial (spec)
 and binomial-scaled forms (the package eliminates a Lagrange row basis instead), the Lagrange
 row basis built densely from one Pascal table, the GK interval counts in
@@ -169,13 +169,13 @@ def lagrange_table(top: int, n: int) -> list[list[list[int]]]:
     return table
 
 
-def dense_system_rows(cols, n: int, drop=frozenset()) -> list[list[int]]:
+def dense_system_rows(cols, n: int) -> list[list[int]]:
     """The rows of ``witness._system_rows``, every entry computed.
 
     Row (i, l) holds L_i^(n-l)(alpha) * f[l] at every column (alpha, f),
-    from one Pascal table (``lagrange_table``), zeros included; the rows
-    with i in ``drop`` and the all-zero rows are left out and the rest
-    sorted by zero count, most zeros first (stable).
+    from one Pascal table (``lagrange_table``), zeros included; the
+    all-zero rows are left out and the rest sorted by zero count, most
+    zeros first (stable).
     """
     alphas = [al for al, _ in cols]
     ncols = len(cols)
@@ -191,9 +191,7 @@ def dense_system_rows(cols, n: int, drop=frozenset()) -> list[list[int]]:
         tail = factors[start:]
         # the spare index keeps a tuple when one column is left; map stops at tail
         gather = itemgetter(*alphas[start:], 0)
-        for i, values in enumerate(lagrange[n - l]):
-            if i in drop:
-                continue
+        for values in lagrange[n - l]:
             row = lead + list(map(mul, tail, gather(values)))
             zeros = row.count(0)
             if zeros < ncols:
@@ -228,7 +226,7 @@ def full_fd_columns(p, e: int, n: int) -> list[tuple[int, list[int]]]:
     Column (alpha, j), j < min(l_alpha, n), is v^alpha w^b_lo (w-1)^j, with
     beta factor C(b_lo, l-j) in the rows of order l in w (zero when l < j);
     (0, 0) first, then j descending, alpha ascending.  The package takes the
-    unit pivots of the full groups out of this set before it builds rows.
+    full groups out of this set and lowers the order before it builds rows.
     """
     groups = [
         (alpha, b_lo, min(b_hi - b_lo + 1, n))
@@ -249,10 +247,10 @@ def full_fd_columns(p, e: int, n: int) -> list[tuple[int, list[int]]]:
 def full_fd_decision(p, e: int, n: int) -> tuple[int, bool]:
     """(rank, constant term forced) from one elimination of every finite-difference column.
 
-    The route the verdict took before the unit pivots of the full groups
-    were split off: the rows of ``witness._system_rows`` over
-    ``full_fd_columns``, none dropped (the tests check them against
-    ``dense_system_rows``), with the unit at (0, 0) as the guard.
+    The route the verdict took before the full groups were taken out: the
+    rows of ``witness._system_rows`` over ``full_fd_columns`` at order n
+    (the tests check them against ``dense_system_rows``), with the unit at
+    (0, 0) as the guard.
     """
     cols = full_fd_columns(p, e, n)
     reduced = _echelon(_system_rows(cols, n), len(cols), [1] + [0] * (len(cols) - 1))

@@ -1,8 +1,8 @@
 """The finite-difference column basis against the systems it replaces.
 
 The verdict, the rank and the piece dimensions are decided on the columns
-v^alpha w^b_lo (w-1)^j, with the unit pivots of the full column groups
-counted instead of eliminated.  Two oracles check it: the point system over
+v^alpha w^b_lo (w-1)^j of the short column groups, at the order lowered by
+one for each full group.  Two oracles check it: the point system over
 every lattice point (``oracles.point_system_decision``) and one elimination
 over every finite-difference column (``oracles.full_fd_decision``).  All
 must give the same rank and the same answer to "is the constant term
@@ -189,58 +189,118 @@ def test_piece_dimension_matches_point_system_up_to_20(validated_30):
     assert cases > 700
 
 
+def column_lengths(p, e):
+    # l_alpha for alpha = 0..e*u, 0 for an empty column
+    return [max(0, b_hi - b_lo + 1) for b_lo, b_hi in _column_bounds(p, e)]
+
+
+def test_fd_decision_matches_full_system_at_low_orders(validated_30):
+    # small orders reach both sides of the lowering: every group full
+    # (f >= n, no system built) and some full, some short (0 < n - f < n)
+    sides = set()
+    for p in validated_30:
+        for e in (1, 2, 3):
+            lengths = column_lengths(p, e)
+            for n in range(1, 5):
+                f = sum(1 for ell in lengths[1:] if ell >= n)
+                sides.add("all full" if f >= n else "lowered" if f else "none full")
+                assert _fd_decision(p, e, n) == full_fd_decision(p, e, n), (p.triple, e, n)
+    assert {"all full", "lowered"} <= sides
+
+
 def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
-    # each unit pivot taken out removes one column and one row
+    # one column per short-group jet below the lowered order, plus (0, 0)
     for p in validated_30:
         for e in (1, 2):
-            lengths = [b_hi - b_lo + 1 for b_lo, b_hi in _column_bounds(p, e) if b_hi >= b_lo]
+            lengths = column_lengths(p, e)
             for n in (1, 2, p.u, e * p.u + 1):
-                cols, full = _fd_columns(p, e, n)
-                rows, ncols = _system_rows(cols, n, full), len(cols)
-                units = sum(max(0, n - al) for al in full)
-                assert full == {al for al, ell in enumerate(lengths) if al and ell >= n}
-                assert ncols + units == sum(min(ell, n) for ell in lengths), (p.triple, e, n)
-                assert len(rows) + units <= len(derivative_orders(n))
-                assert all(len(row) == ncols for row in rows)
+                f = sum(1 for ell in lengths[1:] if ell >= n)
+                cols, m = _fd_columns(p, e, n)
+                assert m == max(0, n - f), (p.triple, e, n)
+                if not m:
+                    assert cols == [], (p.triple, e, n)
+                    continue
+                rows = _system_rows(cols, m)
+                assert len(cols) == 1 + sum(min(ell, m) for ell in lengths[1:] if ell < n)
+                assert len(rows) <= len(derivative_orders(m))
+                assert all(len(row) == len(cols) for row in rows)
 
 
-def test_fd_columns_are_the_full_set_with_the_unit_pivots_out(validated_30):
-    # same groups and the same (alpha, j) order as the full set; a full group
-    # keeps its columns j >= n - alpha with beta factor e_j
+def test_fd_columns_are_the_lowered_full_set_without_the_full_groups(validated_30):
+    # the columns of every short group at order n - f, in the order of the
+    # full set at that order
     for p in validated_30:
         for e in (1, 2):
+            lengths = column_lengths(p, e)
             for n in (1, 2, p.u, e * p.u + 1):
-                cols, full = _fd_columns(p, e, n)
-                want = []
-                for al, f in full_fd_columns(p, e, n):
-                    j = f.index(1)  # f = [0] * j + [C(b_lo, 0), ...]
-                    if al not in full:
-                        want.append((al, f))
-                    elif j >= n - al:
-                        want.append((al, [int(l == j) for l in range(n)]))
-                assert cols == want, (p.triple, e, n)
+                full = {al for al, ell in enumerate(lengths) if al and ell >= n}
+                cols, m = _fd_columns(p, e, n)
+                if m:
+                    want = [(al, f) for al, f in full_fd_columns(p, e, m) if al not in full]
+                    assert cols == want, (p.triple, e, n)
+
+
+def test_eu_gives_full_row_rank_in_the_verdict(validated_40):
+    # EU says the lowering, repeated on the groups that become full, reaches
+    # order 0: the u(u+1)/2 rows of the witness system are independent
+    eu = [p.triple for p in validated_40 if check_eu(p).holds]
+    for name in ("rank_deep.json", "witness_extract.json"):
+        for row in pool_rows(name):
+            triple = CurveTriple(row["a"], row["b"], row["c"])
+            if check_eu(compute_presentation(triple)).holds:
+                eu.append(triple)
+    assert len(eu) > 1000
+    for triple in eu:
+        v = classify(triple)
+        u = v.presentation.u
+        assert v.eu.holds and v.dim_piece_u == v.points - u * (u + 1) // 2, triple
+
+
+def test_piece_dimension_is_zero_from_the_separating_order():
+    # 8 19 9 has 11 points in k = 4 columns, the longest of L = 6, so its
+    # piece is 0 from n = 9 on; at n = 10^6 a system would not fit
+    p = pres(8, 19, 9)
+    lengths = [ell for ell in column_lengths(p, 1) if ell]
+    assert (sum(lengths), len(lengths), max(lengths)) == (11, 4, 6)
+    assert piece_dimension(p, 1, 10**6) == 0
+
+
+def test_piece_dimension_at_the_separating_order_matches_point_system(validated_30):
+    # at n = k + L - 1 every point is cut out by a polynomial of degree < n,
+    # so the point system has full column rank
+    validated_20 = [p for p in validated_30 if max(p.a, p.b, p.c) <= 20]
+    assert validated_20
+    for p in validated_20:
+        for e in (1, 2):
+            lengths = [ell for ell in column_lengths(p, e) if ell]
+            n = len(lengths) + max(lengths) - 1
+            rank, forced = point_system_decision(p, e, n)
+            assert (rank, forced) == (sum(lengths), True), (p.triple, e, n)
+            assert piece_dimension(p, e, n) == 0, (p.triple, e, n)
 
 
 def both_column_sets(p):
-    # the verdict's finite-difference columns, with the node rows of the full
-    # groups dropped, and the witness system's points
-    cols, full = _fd_columns(p, 1, p.u)
-    return (cols, full), (_point_columns(enumerate_points(p, 1, p.u), p.u), frozenset())
+    # the verdict's finite-difference columns at their lowered order, when
+    # a system is left, and the witness system's points at order u
+    cols, m = _fd_columns(p, 1, p.u)
+    point_set = (_point_columns(enumerate_points(p, 1, p.u), p.u), p.u)
+    return [(cols, m), point_set] if m else [point_set]
 
 
 def test_fd_systems_eliminate_as_the_eager_kernel_up_to_30(validated_30):
     # the verdict's own systems, unit guard at (0, 0): rows, pivots, guard and
     # every kernel vector as the eagerly rescaled kernel gives them
     for p in validated_30:
-        cols, full = _fd_columns(p, 1, p.u)
-        guard = [1] + [0] * (len(cols) - 1)
-        assert_lazy_echelon_matches_eager(_system_rows(cols, p.u, full), len(cols), guard)
+        cols, m = _fd_columns(p, 1, p.u)
+        if m:
+            guard = [1] + [0] * (len(cols) - 1)
+            assert_lazy_echelon_matches_eager(_system_rows(cols, m), len(cols), guard)
 
 
 def test_system_rows_match_the_dense_builder_up_to_30(validated_30):
     for p in validated_30:
-        for cols, drop in both_column_sets(p):
-            assert _system_rows(cols, p.u, drop) == dense_system_rows(cols, p.u, drop), p.triple
+        for cols, n in both_column_sets(p):
+            assert _system_rows(cols, n) == dense_system_rows(cols, n), p.triple
         cols = full_fd_columns(p, 1, p.u)
         assert _system_rows(cols, p.u) == dense_system_rows(cols, p.u), p.triple
 
@@ -249,8 +309,8 @@ def test_system_rows_match_the_dense_builder_up_to_30(validated_30):
 def test_system_rows_match_the_dense_builder_on_pools(pool):
     for row in pool_rows(pool):
         p = pres(row["a"], row["b"], row["c"])
-        for cols, drop in both_column_sets(p):
-            assert _system_rows(cols, p.u, drop) == dense_system_rows(cols, p.u, drop), row
+        for cols, n in both_column_sets(p):
+            assert _system_rows(cols, n) == dense_system_rows(cols, n), row
 
 
 def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):
