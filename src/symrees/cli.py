@@ -217,6 +217,9 @@ def _payload_problem(payload) -> str | None:
     for key, fields in _TERM_FIELDS.items():
         if not isinstance(payload[key], list) or not all(_is_term(t, fields) for t in payload[key]):
             return f"{key} is not a list of integer terms with rational coefficients"
+        at = [tuple(t[name] for name in fields) for t in payload[key]]
+        if len(set(at)) < len(at):
+            return f"{key} lists a ({', '.join(fields)}) twice"
     return None
 
 
@@ -226,7 +229,9 @@ def _reverify_witness(payload: dict) -> list[str]:
     Only the degree-ab piece of the u-th symbolic power (e = 1, order u)
     certifies the verdict, so any other header is refused before the
     re-checks run; a huge order would also make the shift test allocate
-    O(order) per term.
+    O(order) per term.  The nonzero monomials must be the expansion of the
+    nonzero lattice terms, so the curve test checks the element that the
+    lattice coefficients define, not some other polynomial of the degree.
     """
     a, b, c = payload["triple"]
     pres = compute_presentation(CurveTriple(a, b, c))
@@ -249,13 +254,14 @@ def _reverify_witness(payload: dict) -> list[str]:
         problems.append("support leaves the triangle")
     if not shift_membership_test(coeffs, payload["order"]):
         problems.append("shift-substitution membership fails")
-    poly = SparsePoly(
-        {
-            (item["x"], item["y"], item["z"]): Fraction(item["coefficient"])
-            for item in payload["monomials"]
-        }
-    )
-    if not curve_substitution_zero(poly, (a, b, c)):
+    monomials = {
+        (item["x"], item["y"], item["z"]): Fraction(item["coefficient"])
+        for item in payload["monomials"]
+    }
+    expansion = {region.monomial_exponents(pt): coeff for pt, coeff in coeffs.items() if coeff}
+    if {ex: coeff for ex, coeff in monomials.items() if coeff} != expansion:
+        problems.append("monomials are not the expansion of the lattice coefficients")
+    if not curve_substitution_zero(SparsePoly(monomials), (a, b, c)):
         problems.append("reconstructed polynomial does not vanish on the curve")
     degrees = {item["x"] * a + item["y"] * b + item["z"] * c for item in payload["monomials"]}
     if degrees != {payload["degree"]}:

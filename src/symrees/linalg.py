@@ -100,16 +100,15 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
     skipped steps cancel to prev / d, so the true row is stored * prev // d.
     A row with q != 0 is reduced as (p*a - q*b) // d from its stored entries,
     which gives the same minor, and a pivot row is brought to its true form
-    once, when chosen.  Where d divides p and q (or prev), the division
-    moves out of the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  On
-    the rank-deep systems the pivots are mostly +-1, so this holds for most
-    updates.  The guard is lazy in the same way, with one divisor
-    for the whole row; since an eager step leaves the guard's entry at a
-    free column as it is from then on, that entry is brought to its true
-    value when the sweep passes the column, and the remaining tail at the
-    end.  Every division is exact: the eager kernel divides exactly on the
-    columns >= col.  So rows, pivots and guard are those of the eager
-    kernel.
+    once, when chosen.  Where d divides p and q, the division moves out of
+    the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  On the rank-deep
+    systems the pivots are mostly +-1, so this holds for most updates.  The
+    guard is lazy in the same way, with one divisor for the whole row; since
+    an eager step leaves the guard's entry at a free column as it is from
+    then on, that entry is brought to its true value when the sweep passes
+    the column, which covers the columns after the last pivot too.  Every
+    division is exact: the eager kernel divides exactly on the columns >=
+    col.  So rows, pivots and guard are those of the eager kernel.
     """
     nrows = len(rows)
     divs = [1] * nrows
@@ -118,20 +117,17 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
         lead = next(compress(count(), row), None)
         if lead is not None:
             buckets[lead].append(idx)
-    live = sum(map(len, buckets))  # nonzero rows not yet pivoted
     at = list(range(nrows))  # at[k]: the row at position k of the eager order
     pos = list(range(nrows))  # pos[idx]: the position of row idx
     reduced: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
     gd = 1  # the guard's divisor
-    col = 0
-    while live:
+    for col in range(ncols):
         bucket = buckets[col]
         if not bucket:
             if guard is not None and gd != prev and guard[col]:
                 guard[col] = guard[col] * prev // gd
-            col += 1
             continue
         if len(bucket) == 1:
             pick = bucket[0]
@@ -146,11 +142,7 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
         pr = rows[pick]
         d = divs[pick]
         if d != prev:
-            if prev % d:
-                pr[col:] = [x * prev // d for x in pr[col:]]
-            else:  # d divides prev (d = 1 for a row never reduced)
-                k = prev // d
-                pr[col:] = [x * k for x in pr[col:]]
+            pr[col:] = [x * prev // d for x in pr[col:]]
         p = pr[col]
         pr_tail = pr[col:] if others or (guard is not None and guard[col]) else ()
         for idx in others:
@@ -165,11 +157,8 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
             ri[col:] = tail
             divs[idx] = p
             lead = next(compress(count(col), tail), None)
-            if lead is None:
-                live -= 1
-            else:
+            if lead is not None:
                 buckets[lead].append(idx)
-        live -= 1
         if guard is not None:
             q = guard[col]
             if q:
@@ -178,7 +167,4 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
         prev = p
         reduced.append(pr)
         pivots.append(col)
-        col += 1
-    if guard is not None and gd != prev:
-        guard[col:] = [x * prev // gd for x in guard[col:]]
     return Echelon(rows=reduced, pivots=pivots, guard=guard, cols=ncols)

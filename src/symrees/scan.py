@@ -1,4 +1,4 @@
-"""Batch classification over ranges of triples.
+"""Batch classification of every triple up to a bound.
 
 Workers share nothing mutable; results are merged back in input order, so
 the output stream is byte-identical for a given job regardless of the
@@ -22,37 +22,32 @@ from .witness import classify
 
 @dataclass(frozen=True)
 class ScanJob:
-    """Triple ranges plus filters for one batch run."""
+    """Every pairwise coprime triple with weights 1..bound, plus filters for one batch run."""
 
-    a_range: tuple[int, int]
-    b_range: tuple[int, int]
-    c_range: tuple[int, int]
+    bound: int
     u_max: int | None = None
     require_assumptions: bool = False
     jobs: int = 1
 
     @classmethod
     def upto(cls, bound: int, **kwargs) -> "ScanJob":
-        if bound < 3:
-            raise ValueError("bound must be >= 3")
-        r = (1, bound)
-        return cls(a_range=r, b_range=r, c_range=r, **kwargs)
+        return cls(bound, **kwargs)
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.a_range, self.b_range, self.c_range):
-            if lo < 1 or hi < lo:
-                raise ValueError("ranges must be nonempty and positive")
+        if self.bound < 3:
+            raise ValueError("bound must be >= 3")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
 
 def iter_triples(job: ScanJob) -> Iterator[tuple[int, int, int]]:
     """Pairwise coprime triples of the job, in lexicographic order."""
-    for a in range(job.a_range[0], job.a_range[1] + 1):
-        for b in range(job.b_range[0], job.b_range[1] + 1):
+    weights = range(1, job.bound + 1)
+    for a in weights:
+        for b in weights:
             if math.gcd(a, b) != 1:
                 continue
-            for c in range(job.c_range[0], job.c_range[1] + 1):
+            for c in weights:
                 if math.gcd(a, c) == 1 and math.gcd(b, c) == 1:
                     yield (a, b, c)
 

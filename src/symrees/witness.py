@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
 
 from .criteria import EuReport, GkReport, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
@@ -84,39 +83,21 @@ def _lagrange_values(n: int, alphas) -> dict[int, list[list[int]]]:
 
     L^(m)(alpha) = [L_i^(m)(alpha) for i < m], with L_i^(m) the integer
     Lagrange basis at the nodes 0..m-1; alpha lies beyond the nodes exactly
-    when m <= alpha.  One table per system, from the Newton form: the
-    interpolant at m nodes adds C(alpha, m-1) times the (m-1)-th forward
-    difference at 0 to the one at m-1 nodes, so for i < m-1
+    when m <= alpha.  Each value has the closed form
 
-        L_i^(m-1)(alpha) = L_i^(m)(alpha) - C(alpha, m-1) * C(m-1, i) * (-1)^(m-1-i).
+        L_i^(m)(alpha) = (-1)^(m-1-i) * C(alpha, i) * C(alpha-i-1, m-1-i)
+                       = C(alpha, m) * w_i / (alpha - i),
+        w_i = (-1)^(m-1-i) * m * C(m-1, i),
 
-    The recurrence starts from the unit vector at m = alpha+1, where alpha
-    is the last node, or, when alpha >= n, from the closed form at m = n:
-    (-1)^(n-1-i) * C(alpha, i) * C(alpha-i-1, n-1-i), which is
-    C(alpha, n) * w_i / (alpha - i) with w_i = (-1)^(n-1-i) * n * C(n-1, i),
-    an exact division.
+    an exact division (alpha - i >= 1 beyond the nodes).
     """
-    # step[m]: (-1)^(m-1-i) * C(m-1, i) for i < m-1
-    step = [[math.comb(m - 1, i) * (-1) ** (m - 1 - i) for i in range(m - 1)] for m in range(n + 1)]
-    weights = [n * math.comb(n - 1, i) * (-1) ** (n - 1 - i) for i in range(n)]
+    weights = [[(-1) ** (m - 1 - i) * m * math.comb(m - 1, i) for i in range(m)] for m in range(n + 1)]
     values = {}
     for alpha in alphas:
-        if alpha >= n:
-            m, top = n, math.comb(alpha, n)
-            vals = [top * w // (alpha - i) for i, w in enumerate(weights)]
-            c = top * n // (alpha - n + 1)
-            table = [vals]
-        else:
-            m, c = alpha + 1, 1
-            vals = [0] * alpha + [1]
-            table = []
-        while m > 1:  # vals = L^(m)(alpha), c = C(alpha, m-1)
-            vals = [x - c * w for x, w in zip(vals, step[m])]
-            m -= 1
-            c = c * m // (alpha - m + 1)
-            table.append(vals)
-        table.append([])
-        table.reverse()
+        table = []
+        for m in range(min(alpha, n) + 1):
+            top = math.comb(alpha, m)
+            table.append([top * w // (alpha - i) for i, w in enumerate(weights[m])])
         values[alpha] = table
     return values
 
@@ -138,33 +119,24 @@ def _system_rows(cols: list[tuple[int, list[int]]], n: int) -> list[list[int]]:
     Only nonzero entries are written, straight into the rows, which start
     as zeros.  Row (i, l) is zero on the node columns alpha < n-l except
     alpha = i, where it holds f[l], and nonzero beyond the nodes wherever
-    f[l] is; the nonzero counts are tallied as the entries are written.
-    All-zero rows are dropped, and the rows are sorted by nonzero count,
-    sparsest first (stable), which keeps the elimination short.
+    f[l] is.  All-zero rows are dropped, and the rows are sorted by their
+    count of zeros, most first (stable, so sparsest first), which keeps the
+    elimination short.
     """
     ncols = len(cols)
     lagrange = _lagrange_values(n, {alpha for alpha, _ in cols})
     blocks = [[[0] * ncols for _ in range(n - l)] for l in range(n)]  # blocks[l][i]: row (i, l)
-    at_node = [[0] * (n - l) for l in range(n)]  # entries of row (i, l) on the nodes
-    beyond = [0] * n  # entries of each row of order l beyond the nodes
     for c, (alpha, f) in enumerate(cols):
         for l in compress(range(n), f):
             v = f[l]
             if alpha < n - l:
                 blocks[l][alpha][c] = v
-                at_node[l][alpha] += 1
             else:
                 for row, x in zip(blocks[l], lagrange[alpha][n - l]):
                     row[c] = x * v
-                beyond[l] += 1
-    rows = [
-        (count + far, row)
-        for block, counts, far in zip(blocks, at_node, beyond)
-        for count, row in zip(counts, block)
-        if count + far
-    ]
-    rows.sort(key=itemgetter(0))
-    return [row for _, row in rows]
+    rows = [row for block in blocks for row in block if any(row)]
+    rows.sort(key=lambda row: row.count(0), reverse=True)
+    return rows
 
 
 def _point_columns(points: list[LatticePoint], n: int) -> list[tuple[int, list[int]]]:
@@ -256,7 +228,7 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     if n >= len(lengths) + max(lengths) - 1:
         return 0
     points = sum(lengths)
-    return points - _fd_decision(p, e, n)[0] if n else points
+    return points - _fd_decision(p, e, n)[0]
 
 
 def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:

@@ -254,6 +254,34 @@ def test_witness_verify_refuses_a_huge_order_before_any_recheck(capsys, tmp_path
     assert err == f"FAIL: order is {10**18}, not 3\n"
 
 
+def test_witness_verify_rejects_monomials_that_are_not_the_expansion(capsys, tmp_path):
+    # x^19 - y^8 has degree ab = 152 and vanishes on the curve, but it is not
+    # the element of the lattice coefficients
+    payload = _emitted_payload(capsys, tmp_path)
+    payload["monomials"] = [
+        {"x": 19, "y": 0, "z": 0, "coefficient": "1"},
+        {"x": 0, "y": 8, "z": 0, "coefficient": "-1"},
+    ]
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert code == 4
+    assert out == ""
+    assert err == "FAIL: monomials are not the expansion of the lattice coefficients\n"
+
+
+@pytest.mark.parametrize(
+    "key, fields", [("lattice_coefficients", "alpha, beta"), ("monomials", "x, y, z")]
+)
+def test_witness_verify_rejects_a_repeated_term(capsys, tmp_path, key, fields):
+    # a first copy with another coefficient would be overwritten by the
+    # emitted term, so the rest of the file still verifies
+    payload = _emitted_payload(capsys, tmp_path)
+    payload[key].insert(0, {**payload[key][0], "coefficient": "5"})
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert code == 4
+    assert out == ""
+    assert err == f"FAIL: malformed witness file: {key} lists a ({fields}) twice\n"
+
+
 def test_witness_absent(capsys):
     code, _, err = run_cli(capsys, "witness", "25", "29", "72")
     assert code == 1

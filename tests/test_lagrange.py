@@ -3,11 +3,12 @@
 For each order l in w the package replaces the rows C(alpha, k) * f[l],
 k < m = n - l, by L_i^(m)(alpha) * f[l], i < m, with L_i^(m) the integer
 Lagrange basis at the nodes 0..m-1.  The values of ``_lagrange_values`` (a
-recurrence in m, one table per system) and of the dense Pascal-table oracle
-are checked against the Fraction product and against each other, the
-change of basis against the binomial basis, the rows against the
-binomial-scaled system of ``oracles.scaled_rows``, and the sparse row
-builder against the dense one, entry for entry and in the same order.
+closed form in C(alpha, m), one table per system) and of the dense
+Pascal-table oracle are checked against the Fraction product and against
+each other, the change of basis against the binomial basis, the rows
+against the binomial-scaled system of ``oracles.scaled_rows``, and the
+sparse row builder against the dense one, entry for entry and in the same
+order.
 """
 
 import random

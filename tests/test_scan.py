@@ -25,8 +25,6 @@ def test_scan_job_validation():
     with pytest.raises(ValueError):
         ScanJob.upto(2)
     with pytest.raises(ValueError):
-        ScanJob(a_range=(1, 5), b_range=(5, 1), c_range=(1, 5))
-    with pytest.raises(ValueError):
         ScanJob.upto(5, jobs=0)
 
 

@@ -21,6 +21,7 @@ from oracles import (
 from symrees.lattice import LatticePoint, enumerate_points
 from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, InternalConsistencyError, compute_presentation
+from symrees.scan import ScanJob, iter_triples
 from symrees.witness import (
     AssumptionViolationError,
     NoWitnessError,
@@ -468,3 +469,20 @@ def test_verdicts_match_criteria_on_validated_pool(validated_30):
             assert v.witness_exists
         if v.gk.holds:
             assert not v.witness_exists
+
+
+def test_verdict_invariant_under_ab_swap():
+    # swapping a and b renames x and y, a graded isomorphism, so the verdict
+    # and the degree-ab piece cannot change; the presentation and the EU and
+    # GK reports may differ in content
+    verdicts = {}
+    for triple in iter_triples(ScanJob.upto(30)):
+        verdict = classify(CurveTriple(*triple))
+        if verdict.presentation is not None:  # three-generated
+            verdicts[triple] = verdict
+    assert sum(v.noetherian is not None for v in verdicts.values()) > 1000
+    for (a, b, c), v in verdicts.items():
+        w = verdicts[b, a, c]
+        assert (v.noetherian, v.points, v.dim_piece_u) == (
+            w.noetherian, w.points, w.dim_piece_u
+        ), (a, b, c)
