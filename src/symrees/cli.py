@@ -119,9 +119,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.max < 3:
-        print("scan: --max must be >= 3", file=sys.stderr)
-        return 3
     job = ScanJob.upto(
         args.max,
         u_max=args.u_le,

@@ -16,9 +16,10 @@ one helper, `_column_bounds`.  The column counts behind the EU criterion,
 the point totals, the columns of the finite-difference verdict system and
 `DeltaRegion.contains` read them directly, with no point and no Fraction
 built, so an inapplicable triple costs O(u) rather than the area of D.
-Only witness extraction enumerates points, and only the first u of each
-column (``depth``).  The slope-interval counts behind GK come from one
-integer helper, `interval_count`.  Nothing is cached at module level.
+Witness extraction builds the points it keeps from the same bounds, at
+most u^2 + 1 (see `symrees.witness._kept_groups`).  The slope-interval
+counts behind GK come from one integer helper, `interval_count`.  Nothing
+is cached at module level.
 """
 
 from __future__ import annotations
@@ -85,22 +86,14 @@ def _column_bounds(
         yield max(lo1, lo2), b_hi
 
 
-def enumerate_points(
-    p: HerzogPresentation, e: int = 1, depth: int | None = None
-) -> list[LatticePoint]:
+def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
     """Integer points of e*D, ordered by (alpha ascending, beta descending).
 
     The ordering is frozen so that constraint matrices, witnesses and
     regression values are reproducible bit for bit.  (0, 0) is always first.
-    With ``depth``, each column stops after its first ``depth`` points in
-    that order, (alpha, b_hi) down to (alpha, b_hi - depth + 1): witness
-    extraction needs no more than the first u points of a column (see
-    `symrees.witness`).
     """
     points = []
     for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
-        if depth is not None:
-            b_lo = max(b_lo, b_hi - depth + 1)
         points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
     return points
 

@@ -15,10 +15,13 @@ The pivot columns of any echelon form are those of the unique reduced row
 echelon form, so the kernel basis read here is the canonical one.  Entries
 are plain Python ints.  With the rows in the Lagrange basis of
 ``witness._system_rows``, the largest entry stored during elimination is
-41 bits on the witness systems of the witness-extract benchmark pool and
 167 bits on the finite-difference systems of the rank-deep pool (60 bits
-before the full column groups were taken out); the witness system of a
-rank-deep pool triple reaches 87 bits.
+before the full column groups were taken out).  A witness is read from an
+echelon form only when back-substitution through the order lowering does
+not apply (``witness._kept_elimination``), which happens on no triple of
+the benchmark pools; the depth-u point systems that extraction eliminated
+before reached 41 bits on the witness-extract pool and 87 bits on the
+rank-deep pool.
 """
 
 from __future__ import annotations

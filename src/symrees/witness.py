@@ -26,15 +26,22 @@ column group alpha >= 1 with at least n points spans every jet modulo
 by one, which keeps the constant-term test and accounts for a known share
 of the rank (see ``_fd_columns``).  On the rank-deep benchmark pool this
 takes a pass from 47,970 to 14,654 rows, from 66,469 to 17,533 columns and
-from 1,530,190 to 276,906 nonzeros.  A witness request is decided in the
-same basis first, unless EU holds; only when a witness exists does
-extraction build lattice points, because the canonical witness is defined
-by the reduced row echelon form in point order.  It keeps the first
-min(l_alpha, u) points of each column, at most u^2 + 1 in all, which gives
-the same rank, existence and witness as every point of the triangle (see
-``_witness_test``).  Both column sets go through the one row builder.  The
-re-checks of an emitted witness, membership in the triangle and
-``shift_membership_test``, run in integers.
+from 1,530,190 to 276,906 nonzeros.
+
+The canonical witness is defined by the reduced row echelon form in point
+order.  Extraction keeps the first min(l_alpha, m_alpha) points of each
+column, m_alpha the order left after the same lowering takes the full
+groups out of the columns before alpha; that gives the rank, existence and
+witness of every point of the triangle (``_kept_groups``).  When the kept
+counts are u, u-1, ..., 1, which held on every Noetherian triple with
+weights up to 40 and on both benchmark pools, the kernel is one line and
+the witness is back-substituted through the lowering in integers, with no
+row built and no elimination (``_back_substituted``).  Otherwise a witness
+request is decided in the finite-difference basis first, unless EU holds,
+and the kept points are eliminated only when a witness exists
+(``_kept_elimination``), through the one row builder.  The re-checks of an
+emitted witness, membership in the triangle and ``shift_membership_test``,
+run in integers.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 
 from .criteria import EuReport, GkReport, check_eu, check_gk
-from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points, enumerate_points
+from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points
 from .linalg import _echelon
 from .presentation import (
     AssumptionReport,
@@ -269,61 +277,174 @@ class WitnessElement:
         return out
 
 
+def _kept_groups(p: HerzogPresentation, n: int) -> list[tuple[int, int, int]]:
+    """(alpha, b_hi, k) for each column alpha >= 1 of D that keeps k >= 1 points.
+
+    Column alpha keeps its first k = min(l_alpha, m_alpha) points in point
+    order, (alpha, b_hi) down to (alpha, b_hi - k + 1), where m_alpha is the
+    order left after the repeated lowering of ``_fd_columns`` takes the full
+    groups out of the columns 1..alpha-1, longest first: while some group
+    left has at least m points, take it out and lower m by one.  Which
+    group goes first does not matter, because a group full at order m stays
+    full at every lower order, so the order left is the same.  Column 0
+    keeps (0, 0).  Built from the column bounds alone, no point made.
+
+    Every point not kept is a combination of earlier columns other than
+    (0, 0), so the kept columns have the rank, the witness existence and the
+    canonical witness of the whole (e=1, n) point system:
+
+    * A combination of the rows is a function P(alpha, beta) = sum_l
+      P_l(alpha) * C(beta, l), deg P_l < n - l, and a point column lies in
+      the span of a column set iff every such P that vanishes on the set
+      vanishes at the point.
+    * Let gamma_1..gamma_f be the groups taken out before column alpha.  By
+      the lowering, the P that vanish on all their points are
+      prod_k (x - gamma_k) * Q(alpha, beta) with Q = sum_l Q_l(alpha) *
+      C(beta, l), deg Q_l < m_alpha - l.  At alpha, not among the gamma_k,
+      Q is a polynomial in beta of degree < m_alpha, so if P also vanishes
+      on the m_alpha consecutive kept points of column alpha, it vanishes
+      on the whole column.  So each later point of column alpha lies in the
+      span of the points of the gamma_k and the kept points of its own
+      column, all earlier in point order and none at alpha = 0.
+    * Such a column is free in the reduced row echelon form, and adding it
+      does not change the span S_c of the columns 1..c before it.
+    * The witness column fc is the first column c with the (0, 0) column in
+      S_c.  The canonical kernel vector of a free column c is supported on c
+      and the pivots before it, so it is nonzero at (0, 0) only if (0, 0)
+      lies in S_c.  For the first such c, c is free, and a kernel vector on
+      the columns up to c that is nonzero at (0, 0), less the canonical
+      vectors of the earlier free columns (zero at (0, 0)), is the
+      canonical vector of c.  So fc is never a dropped column.
+    * The canonical kernel vector of fc is zero at every other free column,
+      so it is zero at every dropped point: it is the canonical kernel
+      vector of fc on the kept columns, whose pivots are the same.
+    """
+    groups = []
+    m, above, below = n, 0, [0] * n  # below[l]: groups of length l < m left
+    bounds = _column_bounds(p, 1)
+    next(bounds)  # column 0 is (0, 0)
+    for alpha, (b_lo, b_hi) in enumerate(bounds, 1):
+        if not m:
+            break
+        length = b_hi - b_lo + 1
+        if length >= m:
+            groups.append((alpha, b_hi, m))
+            above += 1
+        elif length > 0:
+            groups.append((alpha, b_hi, length))
+            below[length] += 1
+        while above and m:  # take a full group out, lowering the order
+            m -= 1
+            above += below[m] - 1
+            below[m] = 0
+    return groups
+
+
+def _back_substituted(groups: list[tuple[int, int, int]], n: int) -> WitnessElement:
+    """The canonical witness when the kept counts are n, n-1, ..., 1: no elimination.
+
+    Group g_m, the one that keeps m points, is full at order m.  Taking out
+    g_n leaves the order-(n-1) system on the other kept columns, each scaled
+    by alpha - g_n (``_fd_columns``), and so on down to order 0, where no row
+    is left.  So the rank is n + (n-1) + ... + 1 = n(n+1)/2, the kept columns
+    other than (0, 0) are independent, and the kernel of the kept columns is
+    one line, spanned by a vector x with x_(0,0) != 0: the canonical witness.
+
+    Read upwards, the lowering builds x in O(n^3) integer operations:
+
+    * At order 0, x_(0,0) = 1.
+    * A row P(alpha) * C(beta, l) of order m, deg P < m - l, splits as
+      (x - g_m) * Q(alpha) * C(beta, l), deg Q < m - 1 - l, which is a row of
+      order m-1 applied to the columns scaled by alpha - g_m, plus P(g_m) *
+      C(beta, l), constant in alpha.  So at order m the coordinates known
+      at order m-1 are divided by alpha - g_m, and the m coordinates of g_m,
+      at beta_i = b - i, solve sum_i x_i C(b - i, l) = r_l for l < m, with
+      r_l = -sum_known x_pt C(beta_pt, l).
+    * That solve is closed.  In generating functions it reads sum_i x_i
+      (1+t)^(b-i) = R(t) mod t^m; with 1 + t' = 1/(1+t) it becomes sum_i x_i
+      (1+t')^i = (1+t')^b R(-t'/(1+t')) mod t'^m.  So c_j = sum_(l<=j) (-1)^l
+      C(b-l, j-l) r_l are the coefficients of sum_i x_i (1+t')^i, and x_i =
+      sum_(j>=i) (-1)^(j-i) C(j, i) c_j: integers from integers.
+
+    Only the moments M[l] = sum x_pt C(beta_pt, l) of each group enter r,
+    and a division scales a whole group, so each group keeps one moment
+    vector and one factor by which its solved coordinates are scaled.  All
+    of them are first multiplied by the lcm of the alpha - g_m, so every
+    division is exact.  The witness divides by the factor of (0, 0) once.
+    """
+    binom = _binom_table({b - i for _, b, k in groups for i in range(k)}, n)
+    pascal = [[math.comb(j, i) for i in range(j + 1)] for j in range(n)]
+    alphas, moments, factors = [0], [[1] + [0] * (n - 1)], [1]  # (0, 0), x = 1
+    solved = {}
+    for gamma, b, m in sorted(groups, key=itemgetter(2)):
+        scale = math.lcm(*(alpha - gamma for alpha in alphas))
+        for g, alpha in enumerate(alphas):
+            s = scale // (alpha - gamma)
+            moments[g] = [s * v for v in moments[g]]
+            factors[g] *= s
+        r = [-sum(moment[l] for moment in moments) for l in range(m)]
+        c = [sum((-1) ** l * binom[b - l][j - l] * r[l] for l in range(j + 1)) for j in range(m)]
+        x = [sum((-1) ** (j - i) * pascal[j][i] * c[j] for j in range(i, m)) for i in range(m)]
+        solved[gamma] = x
+        alphas.append(gamma)
+        moments.append([sum(xi * binom[b - i][l] for i, xi in enumerate(x)) for l in range(n)])
+        factors.append(1)
+    factor = dict(zip(alphas, factors))
+    coefficients = {LatticePoint(0, 0): Fraction(1)}
+    for gamma, b, _ in groups:  # point order: alpha ascending, beta descending
+        for i, xi in enumerate(solved[gamma]):
+            if xi:
+                coefficients[LatticePoint(gamma, b - i)] = Fraction(xi * factor[gamma], factors[0])
+    return WitnessElement(coefficients=coefficients, e=1, n=n)
+
+
+def _kept_elimination(groups: list[tuple[int, int, int]], n: int) -> tuple[int, WitnessElement | None]:
+    """(rank, canonical witness or None) from one guard elimination of the kept points.
+
+    The columns are (0, 0) and the kept points of ``groups`` in point order.
+    The guard, the unit vector at (0, 0), reduces to a multiple of e_j -
+    R[r_j] (R the RREF, j = 0 the (0, 0) column), whose entry at a free
+    column is nonzero exactly when that column's canonical kernel basis
+    vector is nonzero at (0, 0).  So the constant term is forced to 0 iff
+    the reduced guard vanishes, and otherwise its first nonzero column fc
+    gives the canonical witness, normalized at (0, 0).
+    """
+    points = [LatticePoint(0, 0)]
+    points += [LatticePoint(alpha, b - i) for alpha, b, k in groups for i in range(k)]
+    unit = [1] + [0] * (len(points) - 1)
+    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points), unit)
+    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
+    if fc is None:
+        return reduced.rank, None
+    vec = reduced.kernel_vector(fc)
+    coeffs = {pt: Fraction(x, vec[0]) for pt, x in zip(points, vec) if x}
+    return reduced.rank, WitnessElement(coefficients=coeffs, e=1, n=n)
+
+
 def _witness_test(p: HerzogPresentation, want_witness: bool, decide_first: bool):
     """(point count, rank, witness exists, witness or None) for the (e=1, n=u) system.
 
-    The finite-difference elimination of ``_fd_decision`` decides whether a
-    witness exists.  The point system is eliminated only for a witness that
-    is wanted: after that decision has found one with ``decide_first``, at
-    once without it (EU forces a witness).  Its one elimination gives the rest:
-    the guard, the unit vector at (0, 0), reduces to a multiple of e_j - R[r_j]
-    (R the RREF, j the (0, 0) column), whose entry at a free column is
-    nonzero exactly when that column's canonical kernel basis vector is
-    nonzero at (0, 0).  So the constant term is forced to 0 iff the reduced
-    guard vanishes, and otherwise its first nonzero column fc gives the
-    canonical witness.
-
-    The point system is built on the column prefixes only: column alpha
-    contributes its first min(l_alpha, u) points in point order, at most
-    u^2 + 1 columns in all whatever the triangle's area.  Rank, witness
-    existence and the witness are those of the full point system:
-
-    * For fixed alpha, the entry L_i^(u-l)(alpha) * C(beta, l) of every row
-      is a polynomial in beta of degree l < u.  The prefix holds u consecutive
-      betas, so by Newton interpolation every later point of the column is
-      an integer combination of the prefix columns: a free column.
-    * A column that is a combination of earlier columns is zero below the
-      current rank when elimination reaches it, so Bareiss finds no pivot
-      there and moves on.  Deleting such columns changes no step: pivots,
-      rank and the echelon rows at the kept columns stay the same.
-    * The reduced guard is a multiple of the unit (zero off alpha = 0) plus
-      a combination of the rows, so on each column alpha >= 1 it is again a
-      polynomial of degree < u in beta (up to a rescaling that keeps its
-      zero pattern).  Point order reaches a column's later points only
-      after its first u.  If fc is not among those, the guard is zero there
-      at that moment: zero at each pivot by construction, and zero at each
-      free column, or that column would be fc.  Vanishing at u points, it
-      vanishes on the whole column, and the later pivot rows, zero before
-      their pivot column, leave it so.
-    * Hence fc lies in a prefix, and the witness, supported on the pivots
-      and fc, is the ``kernel_vector(fc)`` of the full system.
+    Without a witness wanted, the finite-difference elimination of
+    ``_fd_decision`` decides.  A wanted witness lies in the kernel of the
+    kept columns (``_kept_groups``).  When their counts are u, u-1, ..., 1
+    that kernel is one line, and back-substitution through the order
+    lowering gives the witness with no elimination (``_back_substituted``).
+    Otherwise ``_fd_decision`` decides first with ``decide_first`` and the
+    kept points are eliminated only for a witness that exists; without
+    ``decide_first`` (EU forces a witness) they are eliminated at once
+    (``_kept_elimination``).
     """
-    n_points = count_points(p, 1)
+    n_points, n = count_points(p, 1), p.u
+    if want_witness:
+        groups = _kept_groups(p, n)
+        if sorted(k for _, _, k in groups) == list(range(1, n + 1)):
+            return n_points, n * (n + 1) // 2, True, _back_substituted(groups, n)
     if decide_first or not want_witness:
-        rank, forced = _fd_decision(p, 1, p.u)
+        rank, forced = _fd_decision(p, 1, n)
         if forced or not want_witness:
             return n_points, rank, not forced, None
-    points = enumerate_points(p, 1, p.u)
-    j = points.index(LatticePoint(0, 0))
-    unit = [0] * len(points)
-    unit[j] = 1
-    reduced = _echelon(_system_rows(_point_columns(points, p.u), p.u), len(points), unit)
-    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
-    if fc is None:
-        return n_points, reduced.rank, False, None
-    vec = reduced.kernel_vector(fc)
-    coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
-    return n_points, reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
+    rank, witness = _kept_elimination(groups, n)
+    return n_points, rank, witness is not None, witness
 
 
 def extract_witness(p: HerzogPresentation) -> WitnessElement:

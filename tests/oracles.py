@@ -6,17 +6,20 @@ Fraction reduced row echelon form (unique, so it pins down ranks, pivots
 and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
 matrix-vector products, the shift-substitution membership test with
 Fraction coefficients and term by term over integers, the witness
-extraction over every lattice point of the triangle, the finite-difference
-decision over every column of that basis, full groups included, the
-derivative system over the lattice points in its falling-factorial (spec)
-and binomial-scaled forms (the package eliminates a Lagrange row basis instead), the Lagrange
-row basis built densely from one Pascal table, the GK interval counts in
-Fraction arithmetic, a Fraction front end to the integer interval count,
+extraction over every lattice point of the triangle, the depth-u column
+prefixes that witness extraction eliminated before it kept fewer points,
+the finite-difference decision over every column of that basis, full
+groups included, the derivative system over the lattice points in its
+falling-factorial (spec) and binomial-scaled forms (the package eliminates
+a Lagrange row basis instead), the Lagrange row basis built densely from
+one Pascal table, the GK interval counts in Fraction arithmetic, a
+Fraction front end to the integer interval count,
 the ``dataclasses.asdict`` record encoding, every representation of an
 integer by two coprime weights and the minimal-j one per integer, and the
 triangle's slopes, vertices and column ordinates as fractions.  Some small
 helpers that only tests need live here too: the derivative order sequence,
-the record decoder, the integer-scaled witness and the (a, b) swap.
+the record decoder, the integer-scaled witness, the (a, b) swap and the
+kept points of ``witness._kept_groups``.
 """
 
 from __future__ import annotations
@@ -276,6 +279,29 @@ def point_system_witness(p) -> tuple[int, int, bool, WitnessElement | None]:
     vec = reduced.kernel_vector(fc)
     coeffs = {pt: Fraction(x, vec[j]) for pt, x in zip(points, vec) if x}
     return len(points), reduced.rank, True, WitnessElement(coefficients=coeffs, e=1, n=p.u)
+
+
+def prefix_points(p, e: int, depth: int) -> list[LatticePoint]:
+    """The points of e*D in point order, each column cut after its first ``depth``.
+
+    (alpha, b_hi) down to (alpha, b_hi - depth + 1).  At depth u this is the
+    column set witness extraction eliminated before it kept only the first
+    min(l_alpha, m_alpha) points of each column (``witness._kept_groups``):
+    every later point of a column is an integer combination of its first u,
+    so both sets have the rank and the canonical witness of every point.
+    """
+    points = []
+    for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
+        b_lo = max(b_lo, b_hi - depth + 1)
+        points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
+    return points
+
+
+def kept_points(groups) -> list[LatticePoint]:
+    """(0, 0) and the points that ``witness._kept_groups`` keeps, in point order."""
+    return [LatticePoint(0, 0)] + [
+        LatticePoint(alpha, b - i) for alpha, b, k in groups for i in range(k)
+    ]
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:

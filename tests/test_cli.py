@@ -102,6 +102,14 @@ def test_scan_empty_range(capsys, tmp_path):
     assert lines == [",".join(CSV_COLUMNS)]
 
 
+def test_scan_bound_below_3_is_usage_error_before_output(capsys, tmp_path):
+    # ScanJob refuses the bound before the output file is opened
+    out_file = tmp_path / "scan.jsonl"
+    code, out, err = run_cli(capsys, "scan", "--max", "2", "--out", str(out_file))
+    assert (code, out, err) == (3, "", "error: bound must be >= 3\n")
+    assert not out_file.exists()
+
+
 def test_scan_csv_columns(capsys, tmp_path):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run_cli(

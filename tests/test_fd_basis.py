@@ -27,6 +27,7 @@ from oracles import (
     derivative_orders,
     full_fd_columns,
     full_fd_decision,
+    kept_points,
     point_system_decision,
     point_system_witness,
 )
@@ -43,6 +44,7 @@ from symrees.scan import ScanJob, iter_triples
 from symrees.witness import (
     _fd_columns,
     _fd_decision,
+    _kept_groups,
     _point_columns,
     _system_rows,
     NoWitnessError,
@@ -281,9 +283,9 @@ def test_piece_dimension_at_the_separating_order_matches_point_system(validated_
 
 def both_column_sets(p):
     # the verdict's finite-difference columns at their lowered order, when
-    # a system is left, and the witness system's points at order u
+    # a system is left, and the kept points of the witness system at order u
     cols, m = _fd_columns(p, 1, p.u)
-    point_set = (_point_columns(enumerate_points(p, 1, p.u), p.u), p.u)
+    point_set = (_point_columns(kept_points(_kept_groups(p, p.u)), p.u), p.u)
     return [(cols, m), point_set] if m else [point_set]
 
 
@@ -323,7 +325,6 @@ def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):
     def no_points(*args):
         raise AssertionError("lattice point built without a witness wanted")
 
-    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
     monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     monkeypatch.setattr(symrees.lattice, "LatticePoint", no_points)
     got = [
@@ -344,7 +345,7 @@ def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, valida
     def no_points(*args):
         raise AssertionError("lattice point built for a GK triple")
 
-    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     for p, (points, rank, exists, witness) in zip(gk, want):
         v = classify(p.triple, want_witness=True)
         assert not exists and witness is None, p.triple
@@ -367,7 +368,7 @@ def test_extract_witness_refuses_gk_triples_without_points(monkeypatch, validate
     def no_points(*args):
         raise AssertionError("lattice point built for a GK triple")
 
-    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     for p in gk:
         with pytest.raises(NoWitnessError):
             extract_witness(p)
@@ -397,7 +398,7 @@ def test_witness_request_without_a_criterion_is_decided_before_points(monkeypatc
     def no_points(*args):
         raise AssertionError("lattice point built for a triple without a witness")
 
-    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     for p, (v, (points, rank, exists, _)) in zip(sample, want):
         assert not (v.eu.holds or v.gk.holds or exists), p.triple
         assert (v.points, v.dim_piece_u, v.witness_exists) == (points, points - rank, exists)

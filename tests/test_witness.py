@@ -358,7 +358,7 @@ def test_classify_inapplicable_builds_no_point(monkeypatch):
     def no_points(*args):
         raise AssertionError("lattice point built for an inapplicable triple")
 
-    monkeypatch.setattr(symrees.witness, "enumerate_points", no_points)
+    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     monkeypatch.setattr(symrees.lattice, "LatticePoint", no_points)
     v = classify(CurveTriple(99991, 100003, 7))
     assert v.noetherian is None
@@ -375,26 +375,29 @@ def counting(calls, name, fn):
     return wrapper
 
 
-def test_classify_builds_points_and_system_once(monkeypatch, validated_30):
-    # the witness comes from the points and system the verdict was decided on;
+def test_classify_back_substitutes_the_witness_without_elimination(monkeypatch, validated_30):
+    # a witness whose kept counts are u, u-1, ..., 1 comes from back-substitution
+    # through the order lowering, with no row built and nothing eliminated;
     # where GK forbids a witness, the finite-difference system alone decides
     sample = validated_30[::9]
     calls = Counter()
-    for name in ["enumerate_points", "_system_rows", "_echelon"]:
+    names = ["_back_substituted", "_kept_elimination", "_system_rows", "_echelon"]
+    for name in names:
         monkeypatch.setattr(symrees.witness, name, counting(calls, name, getattr(symrees.witness, name)))
     verdicts = []
     for p in sample:
         calls.clear()
         verdicts.append(classify(p.triple, want_witness=True))
-        points_built = 0 if verdicts[-1].gk.holds else 1
-        got = (calls["enumerate_points"], calls["_system_rows"], calls["_echelon"])
-        assert got == (points_built, 1, 1), p.triple
+        gk = verdicts[-1].gk.holds
+        got = tuple(calls[name] for name in names)
+        assert got == ((0, 0, 1, 1) if gk else (1, 0, 0, 0)), p.triple
+        assert verdicts[-1].witness_exists is not gk, p.triple
     assert any(v.gk.holds for v in verdicts) and not all(v.gk.holds for v in verdicts)
     monkeypatch.undo()
     with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
-    assert with_witness
     for p, v in with_witness:
         assert v.witness == extract_witness(p), p.triple
+        assert v.points - v.dim_piece_u == p.u * (p.u + 1) // 2, p.triple
 
 
 def test_presentation_entry_points_build_no_presentation(monkeypatch, validated_30):

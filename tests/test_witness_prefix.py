@@ -1,34 +1,60 @@
-"""Witness extraction on the column prefixes against the full point system.
+"""Witness extraction on the kept columns against the full point system.
 
 ``classify(want_witness=True)``, ``extract_witness`` and ``symrees witness``
-eliminate the (e=1, n=u) system over the first min(l_alpha, u) points of
-each column only; ``oracles.point_system_witness`` eliminates it over every
-lattice point of the triangle.  Both must give the same point count, rank,
+keep the first min(l_alpha, m_alpha) points of each column
+(``witness._kept_groups``).  When the kept counts are u, u-1, ..., 1 they
+back-substitute through the order lowering (``_back_substituted``);
+otherwise they eliminate the kept points (``_kept_elimination``).
+``oracles.point_system_witness`` eliminates the (e=1, n=u) system over every
+lattice point of the triangle.  All must give the same point count, rank,
 witness existence and canonical witness, coefficient order included.  The
-two re-checks of an emitted witness, triangle membership and the shift
-test, are compared with their rational and term-by-term forms.
+kept columns are also held to the depth-u column prefixes
+(``oracles.prefix_points``) that extraction eliminated before.  The two
+re-checks of an emitted witness, triangle membership and the shift test,
+are compared with their rational and term-by-term forms.
 """
 
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symrees.witness
-from oracles import beta_range, point_system_witness, shift_membership_per_term, vertices
-from symrees.lattice import DeltaRegion, _column_bounds, count_points, enumerate_points
+from oracles import (
+    beta_range,
+    kept_points,
+    point_system_witness,
+    prefix_points,
+    shift_membership_per_term,
+    vertices,
+)
+from symrees.criteria import check_eu
+from symrees.lattice import DeltaRegion, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
+    NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
     validate_assumptions,
 )
-from symrees.witness import _witness_test, classify, extract_witness, shift_membership_test
+from symrees.witness import (
+    _echelon,
+    _kept_elimination,
+    _kept_groups,
+    _point_columns,
+    _system_rows,
+    _witness_test,
+    classify,
+    extract_witness,
+    shift_membership_test,
+)
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -51,15 +77,34 @@ def assert_same_witness(got, want, label):
         assert (got[3].e, got[3].n) == (want[3].e, want[3].n), label
 
 
+def staircase(p):
+    """Are the kept counts u, u-1, ..., 1, so that the witness is back-substituted?"""
+    return sorted(k for _, _, k in _kept_groups(p, p.u)) == list(range(1, p.u + 1))
+
+
 def assert_matches_point_system(p):
-    """classify(want_witness=True) and the full point system agree; returns the oracle."""
+    """classify(want_witness=True) and the full point system agree; returns the oracle.
+
+    On the triples these tests use, a witness exists exactly when the kept
+    counts are u, u-1, ..., 1.
+    """
     want = point_system_witness(p)
     v = classify(p.triple, want_witness=True)
     assert_same_witness((v.points, v.points - v.dim_piece_u, v.witness_exists, v.witness), want, p.triple)
+    assert staircase(p) is want[2], p.triple
     return want
 
 
-def test_prefix_witness_matches_point_system_up_to_40(validated_40):
+@pytest.fixture
+def no_fallback(monkeypatch):
+    # classify reaches the kept-point elimination on none of these triples
+    def refuse(*args):
+        raise AssertionError("witness eliminated instead of back-substituted")
+
+    monkeypatch.setattr(symrees.witness, "_kept_elimination", refuse)
+
+
+def test_prefix_witness_matches_point_system_up_to_40(validated_40, no_fallback):
     found = sum(assert_matches_point_system(p)[2] for p in validated_40)
     assert len(validated_40) == 3046 and found == 2786
 
@@ -70,7 +115,7 @@ def witness_digest(coefficients):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_prefix_witness_matches_witness_extract_pool():
+def test_prefix_witness_matches_witness_extract_pool(no_fallback):
     rows = pool_rows("witness_extract.json")
     assert len(rows) == 512
     for row in rows:
@@ -80,7 +125,7 @@ def test_prefix_witness_matches_witness_extract_pool():
         assert witness_digest(witness.coefficients) == row["witness_sha256"], row
 
 
-def test_prefix_witness_matches_rank_deep_pool():
+def test_prefix_witness_matches_rank_deep_pool(no_fallback):
     # the verdict rows of the rank-deep pool, now with a witness wanted
     rows = pool_rows("rank_deep.json")
     assert len(rows) == 1024
@@ -92,16 +137,17 @@ def test_prefix_witness_matches_rank_deep_pool():
         ), row
 
 
-def test_prefix_witness_on_triangles_far_larger_than_the_prefixes():
-    # (triple, u, points, prefix points)
-    for triple, u, points, prefix in [
-        ((5883, 4379, 1466), 7, 8782, 44),
-        ((4519, 4373, 1482), 6, 6637, 32),
+def test_prefix_witness_on_triangles_far_larger_than_the_prefixes(no_fallback):
+    # (triple, u, points, depth-u prefix points, kept points)
+    for triple, u, points, prefix, kept in [
+        ((5883, 4379, 1466), 7, 8782, 44, 29),
+        ((4519, 4373, 1482), 6, 6637, 32, 22),
     ]:
         p = pres(*triple)
         assert validate_assumptions(p).all_hold and p.u == u
         want = assert_matches_point_system(p)
-        assert want[0] == points and len(enumerate_points(p, 1, u)) == prefix <= u**2 + 1
+        assert want[0] == points and len(prefix_points(p, 1, u)) == prefix <= u**2 + 1
+        assert len(kept_points(_kept_groups(p, u))) == kept
         if want[2]:
             assert extract_witness(p) == want[3]
 
@@ -109,8 +155,9 @@ def test_prefix_witness_on_triangles_far_larger_than_the_prefixes():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 200), st.integers(3, 200), st.integers(3, 200))
 def test_prefix_witness_matches_point_system_property(a, b, c):
-    # the prefix argument needs only n = u, not the hypotheses, so any
-    # three-binomial triple is compared through the point system of _witness_test
+    # the kept-column argument needs only n = u, not the hypotheses, so any
+    # three-binomial triple is compared through ``_witness_test``, which
+    # back-substitutes or eliminates the kept points
     while math.gcd(a, b) != 1:
         b += 1
     while math.gcd(a * b, c) != 1:
@@ -124,7 +171,7 @@ def test_prefix_witness_matches_point_system_property(a, b, c):
     assert_same_witness(got, point_system_witness(p), p.triple)
 
 
-def test_witness_system_has_one_column_per_prefix_point(monkeypatch, validated_30):
+def test_fallback_eliminates_exactly_the_kept_columns(monkeypatch, validated_30):
     shapes = []
     echelon = symrees.witness._echelon
 
@@ -133,22 +180,84 @@ def test_witness_system_has_one_column_per_prefix_point(monkeypatch, validated_3
         return echelon(rows, ncols, guard)
 
     monkeypatch.setattr(symrees.witness, "_echelon", recording)
-    sample = validated_30[::3] + [pres(5883, 4379, 1466)]
+    sample = validated_30[::3] + [pres(5883, 4379, 1466), pres(17, 503, 169)]
     for p in sample:
-        _witness_test(p, want_witness=True, decide_first=False)
-    want = [
-        sum(min(b_hi - b_lo + 1, p.u) for b_lo, b_hi in _column_bounds(p, 1) if b_hi >= b_lo)
-        for p in sample
-    ]
-    assert shapes == want
-    assert all(len(enumerate_points(p, 1, p.u)) == n for p, n in zip(sample, want))
+        _kept_elimination(_kept_groups(p, p.u), p.u)
+    assert shapes == [len(kept_points(_kept_groups(p, p.u))) for p in sample]
+    assert all(shape <= p.u**2 + 1 for p, shape in zip(sample, shapes))
+
+
+def test_fallback_elimination_matches_point_system_up_to_30(validated_30):
+    # no triple up to 40 reaches the fallback through classify, so it is
+    # called directly, on triples with and without a witness
+    found = 0
+    for p in validated_30:
+        points, rank, exists, witness = point_system_witness(p)
+        got_rank, got = _kept_elimination(_kept_groups(p, p.u), p.u)
+        want = (points, rank, exists, witness)
+        assert_same_witness((points, got_rank, got is not None, got), want, p.triple)
+        found += exists
+    assert 0 < found < len(validated_30)
+
+
+def eliminate(points, n):
+    """(rank, first nonzero column of the reduced unit guard at (0, 0) or None)."""
+    unit = [int(pt == (0, 0)) for pt in points]
+    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points), unit)
+    return reduced.rank, next((c for c, x in enumerate(reduced.guard) if x), None)
+
+
+def test_kept_columns_keep_the_rank_and_the_witness_column_of_the_prefixes(validated_30):
+    # the truncation argument of witness._kept_groups, against the depth-u prefixes
+    cut = 0
+    for p in validated_30:
+        prefix, kept = prefix_points(p, 1, p.u), kept_points(_kept_groups(p, p.u))
+        kept_set = set(kept)
+        assert kept == [pt for pt in prefix if pt in kept_set], p.triple
+        (rank, fc), (kept_rank, kept_fc) = eliminate(prefix, p.u), eliminate(kept, p.u)
+        assert kept_rank == rank, p.triple
+        assert (fc is None) is (kept_fc is None), p.triple
+        if fc is not None:
+            assert prefix[fc] == kept[kept_fc], p.triple
+        cut += len(kept) < len(prefix)
+    assert (cut, len(validated_30)) == (532, 1158)
+
+
+def large_eu_sample():
+    # EU triples with u from 17 to 45, from a seeded stream of weights up to
+    # 6000 (c up to 600), past the u <= 16 of the benchmark pools
+    rng = random.Random(15)
+    found = []
+    while len(found) < 8:
+        a, b, c = rng.randint(2, 6000), rng.randint(2, 6000), rng.randint(2, 600)
+        try:
+            p = pres(a, b, c)
+        except (NotCoprimeError, NotThreeGeneratedError):
+            continue
+        if 17 <= p.u <= 45 and validate_assumptions(p).all_hold and check_eu(p).holds:
+            found.append(p)
+    return found
+
+
+def test_back_substitution_matches_kept_elimination_at_large_u():
+    # the full point system costs seconds per triple at u near 40, so the
+    # back-substituted witness is held to the kept-point elimination there
+    sample = large_eu_sample()
+    assert max(p.u for p in sample) >= 35
+    for p in sample:
+        assert staircase(p), p.triple
+        v = classify(p.triple, want_witness=True)
+        rank, witness = _kept_elimination(_kept_groups(p, p.u), p.u)
+        assert rank == v.points - v.dim_piece_u == p.u * (p.u + 1) // 2, p.triple
+        assert list(v.witness.coefficients.items()) == list(witness.coefficients.items()), p.triple
+        assert shift_membership_test(v.witness.coefficients, p.u), p.triple
 
 
 def test_enumerate_points_depth_keeps_each_column_top(validated_30):
+    # the depth-limited prefixes of the tests against the full enumeration
     for p in validated_30[::11]:
         for e in (1, 2):
             full = enumerate_points(p, e)
-            assert enumerate_points(p, e, None) == full
             for depth in (1, 2, p.u):
                 rank_in_column = Counter()
                 want = []
@@ -156,7 +265,8 @@ def test_enumerate_points_depth_keeps_each_column_top(validated_30):
                     if rank_in_column[pt.alpha] < depth:
                         want.append(pt)
                     rank_in_column[pt.alpha] += 1
-                assert enumerate_points(p, e, depth) == want, (p.triple, e, depth)
+                assert prefix_points(p, e, depth) == want, (p.triple, e, depth)
+            assert prefix_points(p, e, len(full)) == full
 
 
 def test_contains_matches_rational_description(validated_30):
