@@ -5,6 +5,10 @@ Exit codes for `classify`: 0 Noetherian, 1 not Noetherian, 2 inapplicable
 error.  `witness` uses the same codes: 0 witness emitted or verified, 1 no
 witness (not Noetherian), 2 inapplicable, 4 a witness file that fails a
 re-check, is for another triple or is not a well-formed witness payload.
+Every command exits 4 on an unexpected error (an exception none of the
+above covers, such as a failed exact division or running out of memory),
+with one `internal error: <type>: <message>` line on stderr, so that it is
+never read as "not Noetherian".
 """
 
 from __future__ import annotations
@@ -378,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad argument values (nonpositive weights, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, not a verdict: never exit 1 with a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

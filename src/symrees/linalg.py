@@ -3,25 +3,16 @@
 All computations here are over the integers (Python ``int``), with no
 floating point anywhere: the verdicts built on top of this module are exact
 yes/no statements.  There is one elimination routine, ``_echelon``:
-fraction-free Bareiss elimination on integer rows, optionally carrying a
-guard row that is never a pivot.  Rank, row-space membership (the guard
-reduces to zero) and kernel vectors (one exact back-substitution per free
-column) are all read from its echelon form.  Its work follows the nonzero
-entries: a row is touched only where it has an entry in the pivot column
-(rows wait in buckets by leading column), and rows and guard alike are
-rescaled lazily, so its output is that of the eagerly rescaled kernel that
-the tests keep as an oracle.
+fraction-free Bareiss elimination of integer rows to an echelon form.  Rank
+and pivot columns are read from it, and so are kernel vectors (one exact
+back-substitution per free column).  A column lies in the span of the
+columns before it exactly when it is not a pivot, which is how the witness
+test reads its verdict.  Its work follows the nonzero entries: a row is
+touched only where it has an entry in the pivot column (rows wait in buckets
+by leading column), and rows are rescaled lazily, so its output is that of
+the eagerly rescaled kernel that the tests keep as an oracle.
 The pivot columns of any echelon form are those of the unique reduced row
-echelon form, so the kernel basis read here is the canonical one.  Entries
-are plain Python ints.  With the rows in the Lagrange basis of
-``witness._system_rows``, the largest entry stored during elimination is
-167 bits on the finite-difference systems of the rank-deep pool (60 bits
-before the full column groups were taken out).  A witness is read from an
-echelon form only when back-substitution through the order lowering does
-not apply (``witness._kept_elimination``), which happens on no triple of
-the benchmark pools; the depth-u point systems that extraction eliminated
-before reached 41 bits on the witness-extract pool and 87 bits on the
-rank-deep pool.
+echelon form, so the kernel basis read here is the canonical one.
 """
 
 from __future__ import annotations
@@ -37,15 +28,11 @@ class Echelon:
     ``rows`` are the nonzero rows of U: integer rows spanning the row space
     of the input, row k zero before column ``pivots[k]``.  The pivot columns
     of any echelon form are those of the reduced row echelon form (RREF), so
-    rank and free columns are read off here.  ``guard`` is the guard row
-    reduced against U (None when no guard was carried): a nonzero multiple of
-    the guard minus its part in the row space.  Entries at free columns left
-    of the last pivot are not rescaled, so only their zero pattern counts.
+    rank and free columns are read off here.
     """
 
     rows: list[list[int]]
     pivots: list[int]
-    guard: list[int] | None
     cols: int
 
     @property
@@ -78,16 +65,13 @@ class Echelon:
         return x
 
 
-def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) -> Echelon:
+def _echelon(rows: list[list[int]], ncols: int) -> Echelon:
     """Bareiss fraction-free elimination of integer rows to an Echelon.
 
-    Takes ownership of ``rows`` and ``guard``: both are reduced in place.
-    Pivot: the smallest nonzero magnitude in the column, the first row
-    winning ties.  Entries stay integral: the Bareiss update is
-    (p*a - q*b) // prev_pivot with exact division (the entries are minors of
-    the input matrix).  ``guard`` is one more row that is never chosen as a
-    pivot but is reduced with the others; it ends up zero exactly when it
-    lies in their row space.
+    Takes ownership of ``rows``: they are reduced in place.  Pivot: the
+    smallest nonzero magnitude in the column, the first row winning ties.
+    Entries stay integral: the Bareiss update is (p*a - q*b) // prev_pivot
+    with exact division (the entries are minors of the input matrix).
 
     Only nonzero entries cost work.  The rows not yet pivoted are kept in
     buckets by their leading (first nonzero) column, so the rows with an
@@ -104,14 +88,10 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
     A row with q != 0 is reduced as (p*a - q*b) // d from its stored entries,
     which gives the same minor, and a pivot row is brought to its true form
     once, when chosen.  Where d divides p and q, the division moves out of
-    the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  On the rank-deep
-    systems the pivots are mostly +-1, so this holds for most updates.  The
-    guard is lazy in the same way, with one divisor for the whole row; since
-    an eager step leaves the guard's entry at a free column as it is from
-    then on, that entry is brought to its true value when the sweep passes
-    the column, which covers the columns after the last pivot too.  Every
+    the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  The pivots of the
+    witness systems are mostly +-1, so this holds for most updates.  Every
     division is exact: the eager kernel divides exactly on the columns >=
-    col.  So rows, pivots and guard are those of the eager kernel.
+    col.  So rows and pivots are those of the eager kernel.
     """
     nrows = len(rows)
     divs = [1] * nrows
@@ -125,12 +105,9 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
     reduced: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
-    gd = 1  # the guard's divisor
     for col in range(ncols):
         bucket = buckets[col]
         if not bucket:
-            if guard is not None and gd != prev and guard[col]:
-                guard[col] = guard[col] * prev // gd
             continue
         if len(bucket) == 1:
             pick = bucket[0]
@@ -147,7 +124,7 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
         if d != prev:
             pr[col:] = [x * prev // d for x in pr[col:]]
         p = pr[col]
-        pr_tail = pr[col:] if others or (guard is not None and guard[col]) else ()
+        pr_tail = pr[col:] if others else ()
         for idx in others:
             ri = rows[idx]
             q = ri[col]
@@ -162,12 +139,7 @@ def _echelon(rows: list[list[int]], ncols: int, guard: list[int] | None = None) 
             lead = next(compress(count(col), tail), None)
             if lead is not None:
                 buckets[lead].append(idx)
-        if guard is not None:
-            q = guard[col]
-            if q:
-                guard[col:] = [(p * x - q * y) // gd for x, y in zip(guard[col:], pr_tail)]
-                gd = p
         prev = p
         reduced.append(pr)
         pivots.append(col)
-    return Echelon(rows=reduced, pivots=pivots, guard=guard, cols=ncols)
+    return Echelon(rows=reduced, pivots=pivots, cols=ncols)

@@ -11,9 +11,10 @@ the implementation.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .presentation import CurveTriple
 from .records import VerdictRecord, from_verdict
@@ -68,13 +69,11 @@ def _keep(record: VerdictRecord, job: ScanJob) -> bool:
 def run_scan(job: ScanJob) -> Iterator[VerdictRecord]:
     """Classify every triple of the job; yields records in input order."""
     triples = iter_triples(job)
-    if job.jobs == 1:
-        results: Iterable[VerdictRecord] = map(classify_one, triples)
-        for record in results:
-            if _keep(record, job):
-                yield record
-        return
-    with Pool(processes=job.jobs) as pool:
-        for record in pool.imap(classify_one, triples, chunksize=64):
+    with nullcontext() if job.jobs == 1 else Pool(processes=job.jobs) as pool:
+        if pool is None:
+            records = map(classify_one, triples)
+        else:
+            records = pool.imap(classify_one, triples, chunksize=64)
+        for record in records:
             if _keep(record, job):
                 yield record

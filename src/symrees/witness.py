@@ -15,8 +15,9 @@ but one.
 
 The classification question reduces to: does the kernel of the (e=1, n=u)
 system contain a vector with nonzero coordinate at (0, 0)?  Equivalently,
-the unit vector at (0, 0) must not lie in the row space of the system.
-When such a witness exists the ring is finitely generated; otherwise not
+the (0, 0) column must lie in the span of the other columns, so with that
+column last the constant term is forced exactly when it is a pivot.  When
+such a witness exists the ring is finitely generated; otherwise not
 (always under the validated hypotheses).
 
 The verdict, the rank and the piece dimensions are decided in an equivalent
@@ -24,9 +25,7 @@ finite-difference column basis built from the column bounds alone.  Each
 column group alpha >= 1 with at least n points spans every jet modulo
 (w-1)^n; it is taken out before that system is built and lowers its order
 by one, which keeps the constant-term test and accounts for a known share
-of the rank (see ``_fd_columns``).  On the rank-deep benchmark pool this
-takes a pass from 47,970 to 14,654 rows, from 66,469 to 17,533 columns and
-from 1,530,190 to 276,906 nonzeros.
+of the rank (see ``_fd_columns``).
 
 The canonical witness is defined by the reduced row echelon form in point
 order.  Extraction keeps the first min(l_alpha, m_alpha) points of each
@@ -37,11 +36,10 @@ counts are u, u-1, ..., 1, which held on every Noetherian triple with
 weights up to 40 and on both benchmark pools, the kernel is one line and
 the witness is back-substituted through the lowering in integers, with no
 row built and no elimination (``_back_substituted``).  Otherwise a witness
-request is decided in the finite-difference basis first, unless EU holds,
-and the kept points are eliminated only when a witness exists
-(``_kept_elimination``), through the one row builder.  The re-checks of an
-emitted witness, membership in the triangle and ``shift_membership_test``,
-run in integers.
+request is decided in the finite-difference basis first, and the kept
+points are eliminated only when a witness exists (``_kept_elimination``),
+through the one row builder.  The re-checks of an emitted witness,
+membership in the triangle and ``shift_membership_test``, run in integers.
 """
 
 from __future__ import annotations
@@ -174,8 +172,9 @@ def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, 
       deg Q < (n - 1) - l.
     * So the rows that vanish on gamma form the order-(n - 1) system, with
       every other column scaled by alpha - gamma != 0.
-    * So the rank drops by exactly n, and the guard, the unit at (0, 0),
-      which is zero on gamma and whose column is scaled by 0 - gamma != 0,
+    * So the rank drops by exactly n, and the (0, 0) column, scaled by
+      0 - gamma != 0, lies in the span of the other columns left exactly
+      when it lay in the span of the others before: the constant-term test
       keeps its verdict.
     * The other full groups are still full at order n - 1, so all f of
       them come out one at a time.
@@ -183,9 +182,10 @@ def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, 
     So with f full groups the rank is sum_(k < min(f, n)) (n - k) plus the
     rank of the order-m system, m = max(0, n - f), on the short groups
     alone, and the constant term is forced exactly when it is forced there.
-    Its columns are (0, 0), then j descending, alpha ascending, for
-    j < min(l_alpha, m), which keeps the elimination short; none when
-    m = 0, where no row is left.
+    Its columns are j descending, alpha ascending, for j < min(l_alpha, m),
+    which keeps the elimination short, then (0, 0) last, so that the
+    verdict is a pivot test (``_fd_decision``); none when m = 0, where no
+    row is left.
     """
     bounds = [
         (alpha, b_lo, b_hi - b_lo + 1) for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
@@ -195,9 +195,10 @@ def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, 
     if not m:
         return [], 0
     binom_b = _binom_table({0} | {b_lo for _, b_lo, _ in short}, m)
-    cols = [(0, binom_b[0])]  # (0, 0): 1 in the rows of order 0 in w
+    cols = []
     for j in range(min(max((length for _, _, length in short), default=0), m) - 1, -1, -1):
         cols += [(al, [0] * j + binom_b[b_lo][:m - j]) for al, b_lo, length in short if j < length]
+    cols.append((0, binom_b[0]))  # (0, 0): 1 in the rows of order 0 in w
     return cols, m
 
 
@@ -206,15 +207,17 @@ def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
 
     The full groups are taken out by lowering the order to m (see
     ``_fd_columns``), which accounts for n(n+1)/2 - m(m+1)/2 of the rank.
-    The guard is the unit at new column 0, which is (0, 0); the constant
-    term is forced iff it reduces to zero.
+    Some kernel vector is nonzero at (0, 0) exactly when the (0, 0) column
+    lies in the span of the others.  It is the last column, so the constant
+    term is forced iff it is a pivot: the last pivot, since no column
+    follows it.
     """
     cols, m = _fd_columns(p, e, n)
     peeled = (n * (n + 1) - m * (m + 1)) // 2
     if not m:
         return peeled, False
-    reduced = _echelon(_system_rows(cols, m), len(cols), [1] + [0] * (len(cols) - 1))
-    return peeled + reduced.rank, not any(reduced.guard)
+    reduced = _echelon(_system_rows(cols, m), len(cols))
+    return peeled + reduced.rank, reduced.pivots[-1] == len(cols) - 1
 
 
 def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
@@ -399,29 +402,27 @@ def _back_substituted(groups: list[tuple[int, int, int]], n: int) -> WitnessElem
 
 
 def _kept_elimination(groups: list[tuple[int, int, int]], n: int) -> tuple[int, WitnessElement | None]:
-    """(rank, canonical witness or None) from one guard elimination of the kept points.
+    """(rank, canonical witness or None) from one elimination of the kept points.
 
     The columns are (0, 0) and the kept points of ``groups`` in point order.
-    The guard, the unit vector at (0, 0), reduces to a multiple of e_j -
-    R[r_j] (R the RREF, j = 0 the (0, 0) column), whose entry at a free
-    column is nonzero exactly when that column's canonical kernel basis
-    vector is nonzero at (0, 0).  So the constant term is forced to 0 iff
-    the reduced guard vanishes, and otherwise its first nonzero column fc
-    gives the canonical witness, normalized at (0, 0).
+    The canonical witness is the canonical kernel vector of the first free
+    column fc whose vector is nonzero at (0, 0), normalized there; when
+    there is no such column the constant term is forced to 0.
     """
     points = [LatticePoint(0, 0)]
     points += [LatticePoint(alpha, b - i) for alpha, b, k in groups for i in range(k)]
-    unit = [1] + [0] * (len(points) - 1)
-    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points), unit)
-    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
-    if fc is None:
-        return reduced.rank, None
-    vec = reduced.kernel_vector(fc)
-    coeffs = {pt: Fraction(x, vec[0]) for pt, x in zip(points, vec) if x}
-    return reduced.rank, WitnessElement(coefficients=coeffs, e=1, n=n)
+    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points))
+    pivots = set(reduced.pivots)
+    for fc in range(len(points)):
+        if fc not in pivots:
+            vec = reduced.kernel_vector(fc)
+            if vec[0]:
+                coeffs = {pt: Fraction(x, vec[0]) for pt, x in zip(points, vec) if x}
+                return reduced.rank, WitnessElement(coefficients=coeffs, e=1, n=n)
+    return reduced.rank, None
 
 
-def _witness_test(p: HerzogPresentation, want_witness: bool, decide_first: bool):
+def _witness_test(p: HerzogPresentation, want_witness: bool):
     """(point count, rank, witness exists, witness or None) for the (e=1, n=u) system.
 
     Without a witness wanted, the finite-difference elimination of
@@ -429,20 +430,23 @@ def _witness_test(p: HerzogPresentation, want_witness: bool, decide_first: bool)
     kept columns (``_kept_groups``).  When their counts are u, u-1, ..., 1
     that kernel is one line, and back-substitution through the order
     lowering gives the witness with no elimination (``_back_substituted``).
-    Otherwise ``_fd_decision`` decides first with ``decide_first`` and the
-    kept points are eliminated only for a witness that exists; without
-    ``decide_first`` (EU forces a witness) they are eliminated at once
-    (``_kept_elimination``).
+    Otherwise ``_fd_decision`` decides first and the kept points are
+    eliminated only for a witness that exists (``_kept_elimination``).
+
+    The route follows the kept counts, not EU.  Counts u, ..., 1 imply EU
+    (the lowering reaches order 0), but not conversely: with column lengths
+    3, 3, 5, 4, 1 at u = 5, EU holds, yet the two groups of length 3 are
+    taken out one order apart, so the kept counts are 3, 3, 5, 4, 1.  No
+    validated triple with that shape is known.
     """
     n_points, n = count_points(p, 1), p.u
     if want_witness:
         groups = _kept_groups(p, n)
         if sorted(k for _, _, k in groups) == list(range(1, n + 1)):
             return n_points, n * (n + 1) // 2, True, _back_substituted(groups, n)
-    if decide_first or not want_witness:
-        rank, forced = _fd_decision(p, 1, n)
-        if forced or not want_witness:
-            return n_points, rank, not forced, None
+    rank, forced = _fd_decision(p, 1, n)
+    if forced or not want_witness:
+        return n_points, rank, not forced, None
     rank, witness = _kept_elimination(groups, n)
     return n_points, rank, witness is not None, witness
 
@@ -571,7 +575,7 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
 
     # GK forbids a witness and EU forces one; the cross-checks below still
     # run on whichever system decided
-    n_points, rank, exists, witness = _witness_test(pres, want_witness and not gk.holds, not eu.holds)
+    n_points, rank, exists, witness = _witness_test(pres, want_witness and not gk.holds)
     if eu.holds and not exists:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:

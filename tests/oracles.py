@@ -4,8 +4,10 @@ Each one is the straightforward route the package's faster code must agree
 with: a dense rational matrix with rank, row-space and kernel queries, a
 Fraction reduced row echelon form (unique, so it pins down ranks, pivots
 and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
-matrix-vector products, the shift-substitution membership test with
-Fraction coefficients and term by term over integers, the witness
+a guard row reduced against an echelon form (the package decides the
+constant term by a pivot test instead), matrix-vector products, the
+shift-substitution membership test with Fraction coefficients and term by
+term over integers, the witness
 extraction over every lattice point of the triangle, the depth-u column
 prefixes that witness extraction eliminated before it kept fewer points,
 the finite-difference decision over every column of that basis, full
@@ -84,29 +86,29 @@ class QMatrix:
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
-    def echelon(self, guard: Sequence[Rat] | None = None) -> Echelon:
-        """One fraction-free elimination of the rows, carrying ``guard``.
+    def echelon(self) -> Echelon:
+        """One fraction-free elimination of the rows.
 
         Rows are cleared of denominators (row scaling changes neither the
         row space nor the kernel) and zero rows are dropped first.
         """
-        if guard is not None and len(guard) != self.cols:
-            raise ValueError("length mismatch")
         rows = [r for r in map(row_to_ints, self.entries) if any(r)]
-        return _echelon(rows, self.cols, None if guard is None else row_to_ints(guard))
+        return _echelon(rows, self.cols)
 
     def rank(self) -> int:
         return self.echelon().rank
 
     def rank_and_row_space_contains(self, v: Sequence[Rat]) -> tuple[int, bool]:
-        """(rank of the matrix, whether v lies in its row space), one pass.
+        """(rank of the matrix, whether v lies in its row space).
 
-        The candidate row is carried through the elimination without ever
-        being chosen as a pivot; it ends up zero exactly when it is a
+        The candidate row is reduced against the echelon rows
+        (``reduce_against``); it ends up zero exactly when it is a
         combination of the matrix rows.
         """
-        reduced = self.echelon(guard=v)
-        return reduced.rank, not any(reduced.guard)
+        if len(v) != self.cols:
+            raise ValueError("length mismatch")
+        reduced = self.echelon()
+        return reduced.rank, not any(reduce_against(reduced, row_to_ints(v)))
 
     def row_space_contains(self, v: Sequence[Rat]) -> bool:
         """True iff v is a rational linear combination of the rows."""
@@ -213,14 +215,14 @@ def point_system_decision(p, e: int, n: int) -> tuple[int, bool]:
 
     The route the verdict took before the finite-difference basis: one
     elimination of the scaled rows over every lattice point of e*D, with the
-    unit vector at (0, 0) as the guard.  The constant term is forced iff that
-    unit lies in the row space.
+    unit vector at (0, 0) reduced against it as the guard.  The constant
+    term is forced iff that unit lies in the row space.
     """
     points = enumerate_points(p, e)
     unit = [0] * len(points)
     unit[points.index(LatticePoint(0, 0))] = 1
-    reduced = _echelon(scaled_rows(points, n), len(points), unit)
-    return reduced.rank, not any(reduced.guard)
+    reduced = _echelon(scaled_rows(points, n), len(points))
+    return reduced.rank, not any(reduce_against(reduced, unit))
 
 
 def full_fd_columns(p, e: int, n: int) -> list[tuple[int, list[int]]]:
@@ -253,11 +255,11 @@ def full_fd_decision(p, e: int, n: int) -> tuple[int, bool]:
     The route the verdict took before the full groups were taken out: the
     rows of ``witness._system_rows`` over ``full_fd_columns`` at order n
     (the tests check them against ``dense_system_rows``), with the unit at
-    (0, 0) as the guard.
+    (0, 0), the first column, reduced against it as the guard.
     """
     cols = full_fd_columns(p, e, n)
-    reduced = _echelon(_system_rows(cols, n), len(cols), [1] + [0] * (len(cols) - 1))
-    return reduced.rank, not any(reduced.guard)
+    reduced = _echelon(_system_rows(cols, n), len(cols))
+    return reduced.rank, not any(reduce_against(reduced, [1] + [0] * (len(cols) - 1)))
 
 
 def point_system_witness(p) -> tuple[int, int, bool, WitnessElement | None]:
@@ -265,15 +267,15 @@ def point_system_witness(p) -> tuple[int, int, bool, WitnessElement | None]:
 
     The route witness extraction took before the column prefixes: one
     elimination of the scaled (e=1, n=u) rows over all points of D, with the
-    unit vector at (0, 0) as the guard, and the canonical kernel vector of
-    the guard's first nonzero column, normalized at (0, 0).
+    unit vector at (0, 0) reduced against it as the guard, and the canonical
+    kernel vector of the guard's first nonzero column, normalized at (0, 0).
     """
     points = enumerate_points(p, 1)
     j = points.index(LatticePoint(0, 0))
     unit = [0] * len(points)
     unit[j] = 1
-    reduced = _echelon(scaled_rows(points, p.u), len(points), unit)
-    fc = next((c for c, x in enumerate(reduced.guard) if x), None)
+    reduced = _echelon(scaled_rows(points, p.u), len(points))
+    fc = next((c for c, x in enumerate(reduce_against(reduced, unit)) if x), None)
     if fc is None:
         return len(points), reduced.rank, False, None
     vec = reduced.kernel_vector(fc)
@@ -350,7 +352,28 @@ def rref_null_space(matrix) -> list[list[Fraction]]:
     return basis
 
 
-def eager_echelon(rows, ncols: int, guard=None) -> Echelon:
+def reduce_against(reduced: Echelon, v: Sequence[int]) -> list[int]:
+    """The guard row v reduced against an echelon form: c*v - r, c != 0, r in the row space.
+
+    One fraction-free step per pivot row, in pivot order, wherever v has an
+    entry in the pivot column, with the content divided out after each.
+    The result is zero at every pivot column, so it is zero exactly when v
+    lies in the row space.  For v the unit at column j it is a multiple of
+    e_j - R[r_j] (R the RREF), nonzero at a free column exactly when that
+    column's canonical kernel vector is nonzero at j: the witness column.
+    """
+    g = list(v)
+    for row, pc in zip(reduced.rows, reduced.pivots):
+        q = g[pc]
+        if q:
+            g = [row[pc] * x - q * y for x, y in zip(g, row)]
+            content = math.gcd(*g)
+            if content > 1:
+                g = [x // content for x in g]
+    return g
+
+
+def eager_echelon(rows, ncols: int) -> Echelon:
     """Bareiss elimination that rescales every row at every step.
 
     Same pivot rule as ``symrees.linalg._echelon`` (smallest nonzero
@@ -359,8 +382,6 @@ def eager_echelon(rows, ncols: int, guard=None) -> Echelon:
     on copies of its arguments.
     """
     rows = [list(row) for row in rows]
-    if guard is not None:
-        guard = list(guard)
     pivots: list[int] = []
     prev = 1
     rank = 0
@@ -379,11 +400,8 @@ def eager_echelon(rows, ncols: int, guard=None) -> Echelon:
         rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
         pr = rows[rank]
         p = pr[col]
-        targets = rows[rank + 1:]
-        if guard is not None:
-            targets.append(guard)
         pr_tail = pr[col:]
-        for ri in targets:
+        for ri in rows[rank + 1:]:
             q = ri[col]
             if q == 0:
                 if p != prev:
@@ -396,17 +414,17 @@ def eager_echelon(rows, ncols: int, guard=None) -> Echelon:
         pivots.append(col)
         rank += 1
         col += 1
-    return Echelon(rows=rows[:rank], pivots=pivots, guard=guard, cols=ncols)
+    return Echelon(rows=rows[:rank], pivots=pivots, cols=ncols)
 
 
-def assert_lazy_echelon_matches_eager(rows, ncols, guard=None):
-    """Lazy ``_echelon`` and the eager oracle agree on rows, pivots, guard and kernel.
+def assert_lazy_echelon_matches_eager(rows, ncols):
+    """Lazy ``_echelon`` and the eager oracle agree on rows, pivots and kernel.
 
     The lazy kernel works in place, so it gets copies; the oracle copies itself.
     """
-    want = eager_echelon(rows, ncols, guard)
-    got = _echelon([list(r) for r in rows], ncols, None if guard is None else list(guard))
-    assert (got.rows, got.pivots, got.guard) == (want.rows, want.pivots, want.guard), (rows, guard)
+    want = eager_echelon(rows, ncols)
+    got = _echelon([list(r) for r in rows], ncols)
+    assert (got.rows, got.pivots) == (want.rows, want.pivots), rows
     for fc in range(ncols):
         if fc not in want.pivots:
             assert got.kernel_vector(fc) == want.kernel_vector(fc), (rows, fc)

@@ -46,6 +46,16 @@ def test_classify_inapplicable_exit_code(capsys):
     assert data["reason"]
 
 
+def test_unexpected_error_exits_4_not_the_not_noetherian_code(capsys, monkeypatch):
+    def broken(triple, **kwargs):
+        raise ArithmeticError("back-substitution division failed")
+
+    monkeypatch.setattr("symrees.cli.classify", broken)
+    code, out, err = run_cli(capsys, "classify", "8", "19", "9")
+    assert (code, out) == (4, "")
+    assert err == "internal error: ArithmeticError: back-substitution division failed\n"
+
+
 def test_classify_table_output(capsys):
     code, out, _ = run_cli(capsys, "classify", "8", "19", "9", "--table")
     assert code == 0

@@ -230,7 +230,7 @@ def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
 
 def test_fd_columns_are_the_lowered_full_set_without_the_full_groups(validated_30):
     # the columns of every short group at order n - f, in the order of the
-    # full set at that order
+    # full set at that order, with (0, 0) moved from first to last
     for p in validated_30:
         for e in (1, 2):
             lengths = column_lengths(p, e)
@@ -238,7 +238,8 @@ def test_fd_columns_are_the_lowered_full_set_without_the_full_groups(validated_3
                 full = {al for al, ell in enumerate(lengths) if al and ell >= n}
                 cols, m = _fd_columns(p, e, n)
                 if m:
-                    want = [(al, f) for al, f in full_fd_columns(p, e, m) if al not in full]
+                    origin, *rest = full_fd_columns(p, e, m)
+                    want = [(al, f) for al, f in rest if al not in full] + [origin]
                     assert cols == want, (p.triple, e, n)
 
 
@@ -290,13 +291,12 @@ def both_column_sets(p):
 
 
 def test_fd_systems_eliminate_as_the_eager_kernel_up_to_30(validated_30):
-    # the verdict's own systems, unit guard at (0, 0): rows, pivots, guard and
-    # every kernel vector as the eagerly rescaled kernel gives them
+    # the verdict's own systems: rows, pivots and every kernel vector as the
+    # eagerly rescaled kernel gives them
     for p in validated_30:
         cols, m = _fd_columns(p, 1, p.u)
         if m:
-            guard = [1] + [0] * (len(cols) - 1)
-            assert_lazy_echelon_matches_eager(_system_rows(cols, m), len(cols), guard)
+            assert_lazy_echelon_matches_eager(_system_rows(cols, m), len(cols))
 
 
 def test_system_rows_match_the_dense_builder_up_to_30(validated_30):

@@ -11,6 +11,7 @@ from oracles import (
     assert_lazy_echelon_matches_eager,
     falling_factorial,
     mul_vector,
+    reduce_against,
     rref,
     rref_null_space,
 )
@@ -127,7 +128,7 @@ def test_null_space_matches_rref_basis():
 def test_reduced_unit_guard_marks_basis_vectors_nonzero_at_its_column():
     # the unit row e_j reduces to a multiple of e_j - R[r_j]: nonzero at a
     # free column exactly when that column's canonical basis vector is
-    # nonzero at j, which is how the witness column is chosen
+    # nonzero at j, which is how the witness oracles choose the witness column
     rng = random.Random(24006)
     for _ in range(150):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), denom=True)
@@ -137,7 +138,7 @@ def test_reduced_unit_guard_marks_basis_vectors_nonzero_at_its_column():
         for j in range(m.cols):
             unit = [0] * m.cols
             unit[j] = 1
-            guard = m.echelon(guard=unit).guard
+            guard = reduce_against(m.echelon(), unit)
             marked = [c for c in range(m.cols) if guard[c] != 0]
             assert marked == [f for f, vec in zip(free, basis) if vec[j] != 0], (m.entries, j)
 
@@ -162,11 +163,10 @@ def test_appending_spanned_row_keeps_rank(rows):
     assert stacked.rank() == m.rank()
 
 
-@pytest.mark.parametrize("zero_frac", [0, 0.3, 0.6, 0.85])
-def test_lazy_echelon_matches_eager_oracle(zero_frac):
+def _sparse_matrices(zero_frac):
     # sparse rows give runs of zeros in the pivot column, which is where the
-    # lazy kernel skips rows and the guard; zero rows and ties in magnitude
-    # exercise the row positions tracked through the swaps
+    # lazy kernel skips rows; zero rows and ties in magnitude exercise the
+    # row positions tracked through the swaps
     rng = random.Random(24007 + int(100 * zero_frac))
 
     def row(cols):
@@ -174,24 +174,40 @@ def test_lazy_echelon_matches_eager_oracle(zero_frac):
 
     for _ in range(300):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        rows = [row(ncols) for _ in range(nrows)]
+        yield [row(ncols) for _ in range(nrows)], ncols
+
+
+@pytest.mark.parametrize("zero_frac", [0, 0.3, 0.6, 0.85])
+def test_lazy_echelon_matches_eager_oracle(zero_frac):
+    for rows, ncols in _sparse_matrices(zero_frac):
         assert_lazy_echelon_matches_eager(rows, ncols)
-        assert_lazy_echelon_matches_eager(rows, ncols, row(ncols))
 
 
-def test_lazy_echelon_keeps_guard_entries_left_of_later_pivots():
-    # the guard's entry at free column 1, left of the pivot at column 4, is
-    # not rescaled by the eager kernel
-    assert_lazy_echelon_matches_eager([[0, 0, 0, 0, -5, 0]], 6, [0, 2, -3, 0, 0, 0])
+def last_column_is_pivot(rows):
+    # the witness test's rule, against the canonical kernel basis: the last
+    # column is a pivot exactly when every kernel vector is zero there
+    m = QMatrix(rows)
+    pivots = m.echelon().pivots
+    pivot = bool(pivots) and pivots[-1] == m.cols - 1
+    assert pivot is all(vec[-1] == 0 for vec in rref_null_space(m)), rows
+    return pivot
 
 
-def test_lazy_guard_freezes_free_column_entries():
-    # the guard is reduced at column 0 (divisor 2) and skipped at column 1
-    # (prev 6), so its stored 10 at free column 2 must be frozen to its true
-    # 10 * 6 // 2 = 30 before the pivot at column 3 moves prev on
-    rows = [[2, 1, 0, 0, 0], [0, 3, 0, 0, 1], [0, 0, 0, 1, 1]]
-    assert_lazy_echelon_matches_eager(rows, 5, [2, 1, 5, 0, 0])
-    assert QMatrix(rows).echelon([2, 1, 5, 0, 0]).guard == [0, 0, 30, 0, 0]
+def test_last_column_is_a_pivot_iff_every_kernel_vector_is_zero_there():
+    # on the sparse matrices above, each column moved last; then a
+    # combination of the other columns, which is never a pivot, and a unit
+    # column on a fresh row, which always is
+    rng = random.Random(24008)
+    seen = set()
+    for zero_frac in (0, 0.3, 0.6, 0.85):
+        for rows, ncols in _sparse_matrices(zero_frac):
+            for j in range(ncols):
+                seen.add(last_column_is_pivot([r[:j] + r[j + 1:] + [r[j]] for r in rows]))
+            weights = [rng.randint(-3, 3) for _ in range(ncols)]
+            combo = [sum(w * x for w, x in zip(weights, r)) for r in rows]
+            assert not last_column_is_pivot([r + [x] for r, x in zip(rows, combo)]), rows
+            assert last_column_is_pivot([r + [0] for r in rows] + [[0] * ncols + [1]]), rows
+    assert seen == {False, True}
 
 
 def test_column_labels_must_be_distinct():

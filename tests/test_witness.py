@@ -264,13 +264,11 @@ def test_witness_decision_matches_direct_kernel_inspection(validated_30):
 
 
 def test_lazy_echelon_matches_eager_on_witness_systems(validated_30):
-    # every validated triple up to 30, with the unit guard at (0, 0)
+    # every validated triple up to 30
     for p in validated_30:
         points = enumerate_points(p, 1)
-        unit = [0] * len(points)
-        unit[points.index(LatticePoint(0, 0))] = 1
         rows = _system_rows(_point_columns(points, p.u), p.u)
-        assert_lazy_echelon_matches_eager(rows, len(points), unit)
+        assert_lazy_echelon_matches_eager(rows, len(points))
 
 
 def _oracle_witness(p):

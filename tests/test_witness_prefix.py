@@ -32,6 +32,9 @@ from oracles import (
     kept_points,
     point_system_witness,
     prefix_points,
+    reduce_against,
+    rref_null_space,
+    scaled_system,
     shift_membership_per_term,
     vertices,
 )
@@ -167,7 +170,7 @@ def test_prefix_witness_matches_point_system_property(a, b, c):
     except NotThreeGeneratedError:
         assume(False)
     assume(p.u <= 16 and count_points(p, 1) <= 400)
-    got = _witness_test(p, want_witness=True, decide_first=False)
+    got = _witness_test(p, want_witness=True)
     assert_same_witness(got, point_system_witness(p), p.triple)
 
 
@@ -175,9 +178,9 @@ def test_fallback_eliminates_exactly_the_kept_columns(monkeypatch, validated_30)
     shapes = []
     echelon = symrees.witness._echelon
 
-    def recording(rows, ncols, guard=None):
+    def recording(rows, ncols):
         shapes.append(ncols)
-        return echelon(rows, ncols, guard)
+        return echelon(rows, ncols)
 
     monkeypatch.setattr(symrees.witness, "_echelon", recording)
     sample = validated_30[::3] + [pres(5883, 4379, 1466), pres(17, 503, 169)]
@@ -203,8 +206,8 @@ def test_fallback_elimination_matches_point_system_up_to_30(validated_30):
 def eliminate(points, n):
     """(rank, first nonzero column of the reduced unit guard at (0, 0) or None)."""
     unit = [int(pt == (0, 0)) for pt in points]
-    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points), unit)
-    return reduced.rank, next((c for c, x in enumerate(reduced.guard) if x), None)
+    reduced = _echelon(_system_rows(_point_columns(points, n), n), len(points))
+    return reduced.rank, next((c for c, x in enumerate(reduce_against(reduced, unit)) if x), None)
 
 
 def test_kept_columns_keep_the_rank_and_the_witness_column_of_the_prefixes(validated_30):
@@ -221,6 +224,51 @@ def test_kept_columns_keep_the_rank_and_the_witness_column_of_the_prefixes(valid
             assert prefix[fc] == kept[kept_fc], p.triple
         cut += len(kept) < len(prefix)
     assert (cut, len(validated_30)) == (532, 1158)
+
+
+def test_kept_counts_are_u_to_1_exactly_when_eu_holds(validated_40, no_fallback):
+    # counts u, ..., 1 imply EU; the converse fails on some column profiles
+    # (next test) but on no triple here, and no triple here without those
+    # counts has a witness, so classify never eliminates the kept points
+    names = ("rank_deep.json", "witness_extract.json")
+    pools = [pres(row["a"], row["b"], row["c"]) for name in names for row in pool_rows(name)]
+    for p in validated_40 + pools:
+        eu = check_eu(p).holds
+        assert staircase(p) is eu, p.triple
+        if not eu:
+            assert not classify(p.triple, want_witness=True).witness_exists, p.triple
+
+
+def test_eu_profile_whose_kept_counts_are_not_u_to_1(monkeypatch, validated_30):
+    # column lengths 3, 3, 5, 4, 1 at u = 5 pass EU's sorted test, but the
+    # two groups of length 3 wait below the order and are taken out one
+    # order apart, so each keeps 3 points: the witness request is decided
+    # first and the kept points are eliminated, which finds the witness
+    lengths = [3, 3, 5, 4, 1]
+    assert all(ell >= i for i, ell in enumerate(sorted(lengths), 1))
+    p = next(p for p in validated_30 if p.u == 5)
+    bounds = [(0, 0)] + [(alpha - ell + 1, alpha) for alpha, ell in enumerate(lengths, 1)]
+    monkeypatch.setattr(symrees.witness, "_column_bounds", lambda p, e: iter(bounds))
+    groups = _kept_groups(p, 5)
+    assert [k for _, _, k in groups] == lengths
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_back_substituted", "_kept_elimination"):
+        monkeypatch.setattr(symrees.witness, name, counting(name, getattr(symrees.witness, name)))
+    _, rank, exists, witness = _witness_test(p, want_witness=True)
+    assert (rank, exists, calls) == (15, True, {"_kept_elimination": 1})
+    points = kept_points(groups)
+    vec = next(vec for vec in rref_null_space(scaled_system(points, 5)) if vec[0])
+    want = [(pt, x / vec[0]) for pt, x in zip(points, vec) if x]
+    assert list(witness.coefficients.items()) == want
+    assert shift_membership_test(witness.coefficients, 5)
 
 
 def large_eu_sample():
