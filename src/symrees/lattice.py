@@ -13,9 +13,11 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
 All comparisons are exact: each column of points is obtained by one ceil
 and one floor in integer arithmetic.  Those integer column bounds come from
 one helper, `_column_bounds`.  The column counts behind the EU criterion,
-the point totals, the columns of the finite-difference verdict system and
-`DeltaRegion.contains` read them directly, with no point and no Fraction
-built, so an inapplicable triple costs O(u) rather than the area of D.
+the point totals and the columns of the finite-difference verdict system
+read them directly, with no point and no Fraction built, so an
+inapplicable triple costs O(u) rather than the area of D.
+`DeltaRegion.contains` tests the three inequalities above, cross-multiplied
+by their positive denominators, with no column bound built.
 Witness extraction builds the points it keeps from the same bounds, at
 most u^2 + 1 (see `symrees.witness._kept_groups`).  The slope-interval
 counts behind GK come from one integer helper, `interval_count`.  Nothing
@@ -47,12 +49,19 @@ class DeltaRegion:
             raise ValueError("scale e must be >= 1")
 
     def contains(self, alpha: int, beta: int) -> bool:
-        """Is (alpha, beta) an integer point of e*D?  Integer arithmetic only."""
+        """Is (alpha, beta) an integer point of e*D?  Integer arithmetic only.
+
+        The three defining inequalities, each multiplied by its positive
+        slope denominator.  They bound alpha to 0..e*u on their own: the
+        vertices of e*D have alpha = 0, e*u and e*a*s3/c, and
+        u*c - a*s3 = u*s2*t3 + s3*t3*u2 > 0.
+        """
         p, e = self.presentation, self.e
-        if alpha < 0 or alpha > e * p.u:
-            return False
-        b_lo, b_hi = next(_column_bounds(p, e, (alpha,)))
-        return b_lo <= beta <= b_hi
+        return (
+            p.u * beta <= p.u2 * alpha
+            and p.s3 * beta >= -p.s2 * alpha
+            and p.t3 * beta >= p.t * (alpha - e * p.u) + e * p.u2 * p.t3
+        )
 
     def monomial_exponents(self, point: LatticePoint) -> tuple[int, int, int]:
         """(x, y, z) exponents of y^(e*a) v^alpha w^beta; nonnegative inside."""

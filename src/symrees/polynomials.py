@@ -9,6 +9,7 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -128,20 +129,20 @@ class SparsePoly:
 def curve_substitution_zero(poly: SparsePoly, weights: Expt) -> bool:
     """Does the polynomial vanish under x -> T^a, y -> T^b, z -> T^c?
 
-    This is exact membership in the curve ideal for honest primes; the
-    substituted univariate polynomial is accumulated sparsely since its
-    degree reaches the weighted degree of the input.
+    This is exact membership in the curve ideal for honest primes.  The
+    substituted univariate polynomial has one coefficient per weighted
+    degree of the input: the sum of the coefficients of the terms of that
+    degree.  A nonzero scalar does not change whether it vanishes, so the
+    coefficients are cleared of denominators once, by the lcm of all of
+    them, and each degree sums integers, no Fraction added.
     """
     a, b, c = weights
-    acc: dict[int, int | Fraction] = {}
+    scale = math.lcm(*(coeff.denominator for coeff in poly.terms.values()))
+    acc: dict[int, int] = {}
     for (ex, ey, ez), coeff in poly.terms.items():
         d = ex * a + ey * b + ez * c
-        s = acc.get(d, 0) + coeff
-        if s == 0:
-            acc.pop(d, None)
-        else:
-            acc[d] = s
-    return not acc
+        acc[d] = acc.get(d, 0) + coeff.numerator * (scale // coeff.denominator)
+    return not any(acc.values())
 
 
 def is_negative_curve(degree: int, order: int, weights: Expt) -> bool:

@@ -39,7 +39,8 @@ row built and no elimination (``_back_substituted``).  Otherwise a witness
 request is decided in the finite-difference basis first, and the kept
 points are eliminated only when a witness exists (``_kept_elimination``),
 through the one row builder.  The re-checks of an emitted witness,
-membership in the triangle and ``shift_membership_test``, run in integers.
+membership in the triangle, ``shift_membership_test`` and the curve test
+``polynomials.curve_substitution_zero``, run in integers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .criteria import EuReport, GkReport, check_eu, check_gk
 from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points
@@ -370,34 +371,49 @@ def _back_substituted(groups: list[tuple[int, int, int]], n: int) -> WitnessElem
       sum_(j>=i) (-1)^(j-i) C(j, i) c_j: integers from integers.
 
     Only the moments M[l] = sum x_pt C(beta_pt, l) of each group enter r,
-    and a division scales a whole group, so each group keeps one moment
-    vector and one factor by which its solved coordinates are scaled.  All
-    of them are first multiplied by the lcm of the alpha - g_m, so every
-    division is exact.  The witness divides by the factor of (0, 0) once.
+    and a division scales a whole group.  So the moments are kept by order
+    across groups, moment[l][g], as each group was solved, and each group
+    keeps one running factor: r_l = -sum_g factor[g] * moment[l][g] is one
+    dot product, and a division rescales the factors alone, after all of
+    them are multiplied by the lcm of the alpha - g_m so that it is exact.
+    The new group's moments below m are r itself, since its solve enforces
+    sum_i x_i C(b - i, l) = r_l; only those from m up are summed.  The
+    witness divides by the factor of (0, 0) once.
     """
     binom = _binom_table({b - i for _, b, k in groups for i in range(k)}, n)
-    pascal = [[math.comb(j, i) for i in range(j + 1)] for j in range(n)]
-    alphas, moments, factors = [0], [[1] + [0] * (n - 1)], [1]  # (0, 0), x = 1
+    signed_pascal = [[(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)] for j in range(n)]
+    alphas, factors = [0], [1]  # (0, 0), x = 1
+    moment = [[1]] + [[0] for _ in range(n - 1)]
     solved = {}
     for gamma, b, m in sorted(groups, key=itemgetter(2)):
         scale = math.lcm(*(alpha - gamma for alpha in alphas))
-        for g, alpha in enumerate(alphas):
-            s = scale // (alpha - gamma)
-            moments[g] = [s * v for v in moments[g]]
-            factors[g] *= s
-        r = [-sum(moment[l] for moment in moments) for l in range(m)]
-        c = [sum((-1) ** l * binom[b - l][j - l] * r[l] for l in range(j + 1)) for j in range(m)]
-        x = [sum((-1) ** (j - i) * pascal[j][i] * c[j] for j in range(i, m)) for i in range(m)]
+        factors = [f * (scale // (alpha - gamma)) for f, alpha in zip(factors, alphas)]
+        r = [-sum(map(mul, factors, row)) for row in moment[:m]]
+        c = [0] * m
+        for l, rl in enumerate(r):
+            if rl:
+                rl = -rl if l % 2 else rl  # (-1)^l r_l
+                c[l:] = [cj + rl * v for cj, v in zip(c[l:], binom[b - l])]
+        x = [sum(signed_pascal[j][i] * c[j] for j in range(i, m)) for i in range(m)]
+        upper = [0] * (n - m)
+        for i, xi in enumerate(x):
+            if xi:
+                upper = [acc + xi * v for acc, v in zip(upper, binom[b - i][m:])]
+        for row, v in zip(moment, r + upper):
+            row.append(v)
         solved[gamma] = x
         alphas.append(gamma)
-        moments.append([sum(xi * binom[b - i][l] for i, xi in enumerate(x)) for l in range(n)])
         factors.append(1)
     factor = dict(zip(alphas, factors))
+    base = factors[0]
     coefficients = {LatticePoint(0, 0): Fraction(1)}
     for gamma, b, _ in groups:  # point order: alpha ascending, beta descending
+        f = factor[gamma]
         for i, xi in enumerate(solved[gamma]):
             if xi:
-                coefficients[LatticePoint(gamma, b - i)] = Fraction(xi * factor[gamma], factors[0])
+                q, rem = divmod(xi * f, base)  # Fraction(q) skips the gcd when base divides
+                coeff = Fraction(xi * f, base) if rem else Fraction(q)
+                coefficients[LatticePoint(gamma, b - i)] = coeff
     return WitnessElement(coefficients=coefficients, e=1, n=n)
 
 
@@ -475,7 +491,9 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     membership either, so the coefficients are cleared of denominators once
     and the sums run over integers.  The coefficient of s^i r^j is
     sum_alpha C(alpha, i) * A_alpha[j], where A_alpha[j] sums c * C(beta, j)
-    over the terms of abscissa alpha; the A_alpha are summed first.
+    over the terms of abscissa alpha.  The A_alpha are built in place first;
+    then each order i is summed in one pass over the columns, skipping those
+    with alpha < i, whose weight C(alpha, i) is zero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -488,14 +506,18 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     column_sums: dict[int, list[int]] = {}
     for al, be, c in terms:
         weight = c.numerator * (scale // c.denominator)
-        term = [weight * math.comb(be + shift_b, j) for j in range(n)]
-        acc = column_sums.get(al + shift_a)
-        column_sums[al + shift_a] = term if acc is None else [x + y for x, y in zip(acc, term)]
+        acc = column_sums.setdefault(al + shift_a, [0] * n)
+        for j in range(n):
+            acc[j] += weight * math.comb(be + shift_b, j)
     for i in range(n):
-        weighted = [(math.comb(al, i), acc) for al, acc in column_sums.items()]
-        for j in range(n - i):
-            if sum(w * acc[j] for w, acc in weighted) != 0:
-                return False
+        total = [0] * (n - i)
+        for al, acc in column_sums.items():
+            if al >= i:
+                weight = math.comb(al, i)
+                for j in range(n - i):
+                    total[j] += weight * acc[j]
+        if any(total):
+            return False
     return True
 
 

@@ -7,7 +7,7 @@ and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
 a guard row reduced against an echelon form (the package decides the
 constant term by a pivot test instead), matrix-vector products, the
 shift-substitution membership test with Fraction coefficients and term by
-term over integers, the witness
+term over integers, the curve substitution test summed in Fraction, the witness
 extraction over every lattice point of the triangle, the depth-u column
 prefixes that witness extraction eliminated before it kept fewer points,
 the finite-difference decision over every column of that basis, full
@@ -481,6 +481,24 @@ def shift_membership_per_term(coefficients: dict, n: int) -> bool:
             if sum(w * row[j] for w, row in weighted) != 0:
                 return False
     return True
+
+
+def curve_substitution_fraction(poly, weights) -> bool:
+    """Vanishing under x -> T^a, y -> T^b, z -> T^c, each degree summed in Fraction.
+
+    The package clears the denominators once and sums integers per degree
+    instead.
+    """
+    a, b, c = weights
+    acc = {}
+    for (ex, ey, ez), coeff in poly.terms.items():
+        d = ex * a + ey * b + ez * c
+        s = acc.get(d, 0) + coeff
+        if s == 0:
+            acc.pop(d, None)
+        else:
+            acc[d] = s
+    return not acc
 
 
 def falling_factorial(n: int, k: int) -> int:

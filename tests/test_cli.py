@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +179,20 @@ def test_witness_emit_and_verify(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "witness", "8", "19", "9", "--verify", str(out_file))
     assert code == 0
     assert "verifies" in out
+
+
+def test_witness_u39_file_is_pinned(capsys, tmp_path):
+    # 2187 373 253 has u = 39 and a witness of 781 terms, all back-substituted;
+    # the file bytes, coefficient order included, are pinned, not only re-verified
+    out_file = tmp_path / "w39.json"
+    code, _, _ = run_cli(capsys, "witness", "2187", "373", "253", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "0407b067734c72a71f51ddc82d0ffb157ed9c478a59e1ce717fb1563a2429c9f"
+    )
+    witness = classify(CurveTriple(2187, 373, 253), want_witness=True).witness
+    assert len(witness.coefficients) == 781
+    assert all(type(c) is Fraction for c in witness.coefficients.values())
 
 
 def test_witness_verify_rejects_tampering(capsys, tmp_path):

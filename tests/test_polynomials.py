@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import curve_substitution_fraction
 from symrees.polynomials import (
     FamilyRejectionError,
     HypothesisViolationError,
@@ -230,6 +233,41 @@ def test_curve_substitution():
     assert not curve_substitution_zero(
         SparsePoly({(1, 0, 0): 1, (0, 1, 0): 1}), (8, 19, 9)
     )
+
+
+coefficients = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+exponents = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+sparse_polys = st.dictionaries(exponents, coefficients, max_size=8).map(SparsePoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pick=st.integers(0, 10**6),
+    q=sparse_polys,
+    other=sparse_polys,
+    which=st.integers(0, 2),
+    shift=exponents,
+    split=st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    whole=st.integers(-2, 2),
+)
+def test_curve_substitution_matches_fraction_oracle_property(
+    validated_30, pick, q, other, which, shift, split, whole
+):
+    # int, Fraction and mixed coefficients; members q * f, q * g, q * h of a
+    # validated presentation; x^b m and y^a m share a weighted degree, so the
+    # denominators of split and whole - split cancel only inside that degree
+    p = validated_30[pick % len(validated_30)]
+    weights = (p.a, p.b, p.c)
+    member = q * build_generators(p)[which]
+    ex, ey, ez = shift
+    pair = SparsePoly({(ex + p.b, ey, ez): split, (ex, ey + p.a, ez): whole - split})
+    assert curve_substitution_zero(member, weights) is True
+    assert curve_substitution_zero(member + pair, weights) is (whole == 0)
+    for poly in (member, other, pair, member + other, member + pair, other + pair):
+        want = curve_substitution_fraction(poly, weights)
+        assert curve_substitution_zero(poly, weights) is want, (poly, weights)
 
 
 def test_homogeneity_guard():

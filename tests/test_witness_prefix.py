@@ -318,11 +318,13 @@ def test_enumerate_points_depth_keeps_each_column_top(validated_30):
 
 
 def test_contains_matches_rational_description(validated_30):
-    # every point of a box around e*D, against beta_range's exact fractions
+    # every point of a box around e*D, against beta_range's exact fractions;
+    # the members of each region are its count_points, read from the column bounds
     members = Counter()
     for p in validated_30:
         for e in (1, 2, 3):
             region = DeltaRegion(p, e)
+            before = members[True]
             ys = [y for _, y in vertices(region)]
             b_lo, b_hi = math.ceil(min(ys)), math.floor(max(ys))
             for alpha in range(-1, e * p.u + 2):
@@ -332,7 +334,7 @@ def test_contains_matches_rational_description(validated_30):
                     want = inside_columns and lo <= beta <= hi
                     assert region.contains(alpha, beta) == want, (p.triple, e, alpha, beta)
                     members[want] += 1
-            assert members[True] > 0
+            assert members[True] - before == count_points(p, e) > 0, (p.triple, e)
     assert members[False] > members[True] > 100000
 
 
