@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--require-assumptions", action="store_true",
                         help="keep only rows satisfying all hypotheses")
     p_scan.add_argument("--out", default=None, help="output file (default stdout)")
-    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most one per CPU (output does not depend on it)")
     p_scan.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
     p_dim = sub.add_parser("piece-dim", help="dimension of one graded piece of a symbolic power")

@@ -11,23 +11,20 @@ the integer points of the triangle e*D, where D has vertices (0, 0),
     beta >= (t/t3) * (alpha - e*u) + e*u2  (y exponent >= 0).
 
 All comparisons are exact: each column of points is obtained by one ceil
-and one floor in integer arithmetic.  Those integer column bounds come from
-one helper, `_column_bounds`.  The column counts behind the EU criterion,
-the point totals and the columns of the finite-difference verdict system
-read them directly, with no point and no Fraction built, so an
-inapplicable triple costs O(u) rather than the area of D.
-`DeltaRegion.contains` tests the three inequalities above, cross-multiplied
-by their positive denominators, with no column bound built.
-Witness extraction builds the points it keeps from the same bounds, at
-most u^2 + 1 (see `symrees.witness._kept_groups`).  The slope-interval
-counts behind GK come from one integer helper, `interval_count`.  Nothing
-is cached at module level.
+and one floor in integer arithmetic, in one helper, `_column_bounds`.  One
+sweep of it gives the column profile `column_counts`, with no point and no
+Fraction built, so an inapplicable triple costs O(u) rather than the area
+of D.  EU, the point totals, the verdict system and the points kept for a
+witness (at most u^2 + 1, `symrees.witness._kept_groups`) read only that
+profile and `column_top`.  `DeltaRegion.contains` tests the three
+inequalities above, cross-multiplied by their positive denominators.  GK
+counts slopes with one integer helper, `interval_count`.  Nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .presentation import HerzogPresentation
 
@@ -74,25 +71,27 @@ class DeltaRegion:
         )
 
 
-def _column_bounds(
-    p: HerzogPresentation, e: int, alphas: Iterable[int] | None = None
-) -> Iterator[tuple[int, int]]:
-    """(b_lo, b_hi) for each column alpha of e*D, alpha = 0..e*u in order by default.
+def _column_bounds(p: HerzogPresentation, e: int) -> Iterator[tuple[int, int]]:
+    """(b_lo, b_hi) for each column alpha = 0..e*u of e*D, in order.
 
     b_lo is the ceiling of the higher of the two lower boundary lines and
     b_hi the floor of the upper one, both in integer arithmetic; the column
-    holds the integers b_lo..b_hi, none when b_lo > b_hi.  ``alphas`` picks
-    other abscissas; the formula is not limited to 0..e*u.
+    holds the integers b_lo..b_hi, none when b_lo > b_hi.
     """
     if e < 1:
         raise ValueError("scale e must be >= 1")
     s2, s3, t, t3, u, u2 = p.s2, p.s3, p.t, p.t3, p.u, p.u2
-    for alpha in range(e * u + 1) if alphas is None else alphas:
+    for alpha in range(e * u + 1):
         b_hi = (u2 * alpha) // u
         lo1 = -((s2 * alpha) // s3)  # ceil(-s2*alpha/s3)
         num2 = t * (alpha - e * u) + e * u2 * t3
         lo2 = -((-num2) // t3)  # ceil(num2/t3)
         yield max(lo1, lo2), b_hi
+
+
+def column_top(p: HerzogPresentation, alpha: int) -> int:
+    """b_hi of column alpha at every scale e: a column of l points holds b_hi - l + 1..b_hi."""
+    return (p.u2 * alpha) // p.u
 
 
 def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
@@ -108,18 +107,18 @@ def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
 
 
 def count_points(p: HerzogPresentation, e: int = 1) -> int:
-    """Number of integer points of e*D, read from the column bounds."""
-    return sum(max(0, b_hi - b_lo + 1) for b_lo, b_hi in _column_bounds(p, e))
+    """Number of integer points of e*D: (0, 0) plus the column counts."""
+    return 1 + sum(column_counts(p, e))
 
 
-def column_counts(p: HerzogPresentation) -> tuple[int, ...]:
-    """(l_1, ..., l_u): points of D per column alpha = 1..u (alpha = 0 excluded).
+def column_counts(p: HerzogPresentation, e: int = 1) -> tuple[int, ...]:
+    """(l_1, ..., l_(e*u)): points of e*D per column alpha = 1..e*u (alpha = 0 excluded).
 
     Each count is max(0, b_hi - b_lo + 1) from the same integer column
-    bounds that `enumerate_points` walks, so it costs O(u) whatever the
-    area of D: no point is built and nothing is cached.
+    bounds that `enumerate_points` walks, so it costs O(e*u) whatever the
+    area of e*D: no point is built and nothing is cached.
     """
-    bounds = _column_bounds(p, 1)
+    bounds = _column_bounds(p, e)
     next(bounds)  # column alpha = 0 holds only (0, 0)
     return tuple(max(0, b_hi - b_lo + 1) for b_lo, b_hi in bounds)
 

@@ -2,7 +2,8 @@
 
 Workers share nothing mutable; results are merged back in input order, so
 the output stream is byte-identical for a given job regardless of the
-parallelism degree.  ``classify`` checks every verdict under validated
+parallelism degree.  At most one worker process per CPU is started, however
+many jobs are asked for.  ``classify`` checks every verdict under validated
 hypotheses against the proved cross-criteria implications; a violation
 raises InternalConsistencyError and aborts the scan, since it would falsify
 the implementation.
@@ -11,6 +12,7 @@ the implementation.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -69,7 +71,8 @@ def _keep(record: VerdictRecord, job: ScanJob) -> bool:
 def run_scan(job: ScanJob) -> Iterator[VerdictRecord]:
     """Classify every triple of the job; yields records in input order."""
     triples = iter_triples(job)
-    with nullcontext() if job.jobs == 1 else Pool(processes=job.jobs) as pool:
+    workers = min(job.jobs, os.cpu_count() or 1)
+    with nullcontext() if workers == 1 else Pool(processes=workers) as pool:
         if pool is None:
             records = map(classify_one, triples)
         else:

@@ -21,7 +21,8 @@ such a witness exists the ring is finitely generated; otherwise not
 (always under the validated hypotheses).
 
 The verdict, the rank and the piece dimensions are decided in an equivalent
-finite-difference column basis built from the column bounds alone.  Each
+finite-difference column basis built from the column profile alone
+(``lattice.column_counts``, which a verdict reads from its EU report).  Each
 column group alpha >= 1 with at least n points spans every jet modulo
 (w-1)^n; it is taken out before that system is built and lowers its order
 by one, which keeps the constant-term test and accounts for a known share
@@ -52,7 +53,7 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .criteria import EuReport, GkReport, check_eu, check_gk
-from .lattice import DeltaRegion, LatticePoint, _column_bounds, count_points
+from .lattice import DeltaRegion, LatticePoint, column_counts, column_top
 from .linalg import _echelon
 from .presentation import (
     AssumptionReport,
@@ -152,17 +153,19 @@ def _point_columns(points: list[LatticePoint], n: int) -> list[tuple[int, list[i
     return [(al, binom_b[be]) for al, be in points]
 
 
-def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, list[int]]], int]:
-    """(columns, m) of the (e, n) system in the finite-difference basis, full groups taken out.
+def _fd_columns(
+    p: HerzogPresentation, lengths: tuple[int, ...], n: int
+) -> tuple[list[tuple[int, list[int]]], int]:
+    """(columns, m) of the order-n system in the finite-difference basis, full groups taken out.
 
-    Column alpha of e*D holds the points (alpha, b_lo..b_hi), l_alpha of
-    them; their monomials w^beta span the same space as w^b_lo (w-1)^j,
-    j < l_alpha, by a unimodular triangular change of basis, so the rank is
-    that of the point system.  Under v = 1+s, w = 1+r the column (alpha, j)
-    has beta factor C(b_lo, l-j) in the rows of order l in w, zero when
-    l < j; columns with j >= n are zero and left out.  Column alpha = 0 is
-    the single point (0, 0), so the unit vector there is the same in both
-    bases.
+    Column alpha of e*D holds l_alpha = lengths[alpha - 1] points (alpha,
+    b_lo..b_hi), b_hi its ``column_top``; their monomials w^beta span the
+    same space as w^b_lo (w-1)^j, j < l_alpha, by a unimodular triangular
+    change of basis, so the rank is that of the point system.  Under
+    v = 1+s, w = 1+r the column (alpha, j) has beta factor C(b_lo, l-j) in
+    the rows of order l in w, zero when l < j; columns with j >= n are zero
+    and left out.  Column alpha = 0 is the single point (0, 0), so the unit
+    vector there is the same in both bases.
 
     A group gamma >= 1 with l_gamma >= n is full: it spans every jet
     (1+s)^gamma * K[r]/r^n.  Modulo one full group the system is the same
@@ -188,13 +191,11 @@ def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, 
     verdict is a pivot test (``_fd_decision``); none when m = 0, where no
     row is left.
     """
-    bounds = [
-        (alpha, b_lo, b_hi - b_lo + 1) for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e))
-    ]
-    short = [(al, b_lo, length) for al, b_lo, length in bounds[1:] if 0 < length < n]
-    m = max(0, n - sum(1 for _, _, length in bounds[1:] if length >= n))
+    m = max(0, n - sum(1 for length in lengths if length >= n))
     if not m:
         return [], 0
+    short = [(al, column_top(p, al) - length + 1, length)
+             for al, length in enumerate(lengths, 1) if 0 < length < n]
     binom_b = _binom_table({0} | {b_lo for _, b_lo, _ in short}, m)
     cols = []
     for j in range(min(max((length for _, _, length in short), default=0), m) - 1, -1, -1):
@@ -203,8 +204,8 @@ def _fd_columns(p: HerzogPresentation, e: int, n: int) -> tuple[list[tuple[int, 
     return cols, m
 
 
-def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
-    """(rank, constant term forced) for the (e, n) system, in one elimination.
+def _fd_decision(p: HerzogPresentation, lengths: tuple[int, ...], n: int) -> tuple[int, bool]:
+    """(rank, constant term forced) for the order-n system on ``lengths``, in one elimination.
 
     The full groups are taken out by lowering the order to m (see
     ``_fd_columns``), which accounts for n(n+1)/2 - m(m+1)/2 of the rank.
@@ -213,7 +214,7 @@ def _fd_decision(p: HerzogPresentation, e: int, n: int) -> tuple[int, bool]:
     term is forced iff it is a pivot: the last pivot, since no column
     follows it.
     """
-    cols, m = _fd_columns(p, e, n)
+    cols, m = _fd_columns(p, lengths, n)
     peeled = (n * (n + 1) - m * (m + 1)) // 2
     if not m:
         return peeled, False
@@ -226,21 +227,20 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
 
     Computed as (number of lattice points of e*D) minus the rank of the
     derivative system, taken in the finite-difference basis; n = 0 means no
-    constraints.  With k nonempty columns, the longest of length L, the
-    piece is 0 once n >= k + L - 1, and no system is built: for each point,
-    the product of (alpha - alpha') over the other columns and
-    (beta - beta') over the other points of its column has degree
-    <= k + L - 2 < n and vanishes at every point but that one, so the rows,
-    which span the polynomials of degree < n evaluated at the points, have
-    full rank.
+    constraints.  Both come from one ``column_counts``.  With k nonempty
+    columns, the longest of length L, the piece is 0 once n >= k + L - 1,
+    and no system is built: for each point, the product of (alpha - alpha')
+    over the other columns and (beta - beta') over the other points of its
+    column has degree <= k + L - 2 < n and vanishes at every point but that
+    one, so the rows, which span the polynomials of degree < n evaluated at
+    the points, have full rank.
     """
     if e < 1 or n < 0:
         raise ValueError("need e >= 1 and n >= 0")
-    lengths = [b_hi - b_lo + 1 for b_lo, b_hi in _column_bounds(p, e) if b_hi >= b_lo]
-    if n >= len(lengths) + max(lengths) - 1:
+    lengths = column_counts(p, e)
+    if n >= sum(map(bool, lengths)) + max(lengths):  # k + L - 1, k counting column 0
         return 0
-    points = sum(lengths)
-    return points - _fd_decision(p, e, n)[0]
+    return 1 + sum(lengths) - _fd_decision(p, lengths, n)[0]
 
 
 def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
@@ -281,17 +281,18 @@ class WitnessElement:
         return out
 
 
-def _kept_groups(p: HerzogPresentation, n: int) -> list[tuple[int, int, int]]:
+def _kept_groups(p: HerzogPresentation, ell: tuple[int, ...], n: int) -> list[tuple[int, int, int]]:
     """(alpha, b_hi, k) for each column alpha >= 1 of D that keeps k >= 1 points.
 
-    Column alpha keeps its first k = min(l_alpha, m_alpha) points in point
+    Column alpha, with l_alpha = ell[alpha - 1] points under b_hi =
+    ``column_top``, keeps its first k = min(l_alpha, m_alpha) points in point
     order, (alpha, b_hi) down to (alpha, b_hi - k + 1), where m_alpha is the
     order left after the repeated lowering of ``_fd_columns`` takes the full
     groups out of the columns 1..alpha-1, longest first: while some group
     left has at least m points, take it out and lower m by one.  Which
     group goes first does not matter, because a group full at order m stays
     full at every lower order, so the order left is the same.  Column 0
-    keeps (0, 0).  Built from the column bounds alone, no point made.
+    keeps (0, 0).  Built from the profile alone, no point made.
 
     Every point not kept is a combination of earlier columns other than
     (0, 0), so the kept columns have the rank, the witness existence and the
@@ -325,17 +326,14 @@ def _kept_groups(p: HerzogPresentation, n: int) -> list[tuple[int, int, int]]:
     """
     groups = []
     m, above, below = n, 0, [0] * n  # below[l]: groups of length l < m left
-    bounds = _column_bounds(p, 1)
-    next(bounds)  # column 0 is (0, 0)
-    for alpha, (b_lo, b_hi) in enumerate(bounds, 1):
+    for alpha, length in enumerate(ell, 1):
         if not m:
             break
-        length = b_hi - b_lo + 1
         if length >= m:
-            groups.append((alpha, b_hi, m))
+            groups.append((alpha, column_top(p, alpha), m))
             above += 1
-        elif length > 0:
-            groups.append((alpha, b_hi, length))
+        elif length:
+            groups.append((alpha, column_top(p, alpha), length))
             below[length] += 1
         while above and m:  # take a full group out, lowering the order
             m -= 1
@@ -438,11 +436,12 @@ def _kept_elimination(groups: list[tuple[int, int, int]], n: int) -> tuple[int, 
     return reduced.rank, None
 
 
-def _witness_test(p: HerzogPresentation, want_witness: bool):
-    """(point count, rank, witness exists, witness or None) for the (e=1, n=u) system.
+def _witness_test(p: HerzogPresentation, ell: tuple[int, ...], want_witness: bool):
+    """(rank, witness exists, witness or None) for the (e=1, n=u) system.
 
-    Without a witness wanted, the finite-difference elimination of
-    ``_fd_decision`` decides.  A wanted witness lies in the kernel of the
+    ``ell`` is the column profile of D (``EuReport.ell``).  Without a
+    witness wanted, the finite-difference elimination of ``_fd_decision``
+    decides.  A wanted witness lies in the kernel of the
     kept columns (``_kept_groups``).  When their counts are u, u-1, ..., 1
     that kernel is one line, and back-substitution through the order
     lowering gives the witness with no elimination (``_back_substituted``).
@@ -455,16 +454,16 @@ def _witness_test(p: HerzogPresentation, want_witness: bool):
     taken out one order apart, so the kept counts are 3, 3, 5, 4, 1.  No
     validated triple with that shape is known.
     """
-    n_points, n = count_points(p, 1), p.u
+    n = p.u
     if want_witness:
-        groups = _kept_groups(p, n)
+        groups = _kept_groups(p, ell, n)
         if sorted(k for _, _, k in groups) == list(range(1, n + 1)):
-            return n_points, n * (n + 1) // 2, True, _back_substituted(groups, n)
-    rank, forced = _fd_decision(p, 1, n)
+            return n * (n + 1) // 2, True, _back_substituted(groups, n)
+    rank, forced = _fd_decision(p, ell, n)
     if forced or not want_witness:
-        return n_points, rank, not forced, None
+        return rank, not forced, None
     rank, witness = _kept_elimination(groups, n)
-    return n_points, rank, witness is not None, witness
+    return rank, witness is not None, witness
 
 
 def extract_witness(p: HerzogPresentation) -> WitnessElement:
@@ -597,7 +596,7 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
 
     # GK forbids a witness and EU forces one; the cross-checks below still
     # run on whichever system decided
-    n_points, rank, exists, witness = _witness_test(pres, want_witness and not gk.holds)
+    rank, exists, witness = _witness_test(pres, eu.ell, want_witness and not gk.holds)
     if eu.holds and not exists:
         raise InternalConsistencyError(f"EU holds but no witness on {triple}")
     if gk.holds and exists:
@@ -606,6 +605,7 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
     # makes the verdict the EU verdict
     if pres.u <= 6 and not (eu.holds or gk.holds):
         raise InternalConsistencyError(f"u <= 6 but neither EU nor GK holds on {triple}")
+    n_points = 1 + sum(eu.ell)  # column 0 holds only (0, 0)
     return Verdict(
         triple=triple,
         presentation=pres,

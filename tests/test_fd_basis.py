@@ -32,7 +32,7 @@ from oracles import (
     point_system_witness,
 )
 from symrees.criteria import check_eu, check_gk
-from symrees.lattice import _column_bounds, count_points, enumerate_points
+from symrees.lattice import _column_bounds, column_counts, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
     NotCoprimeError,
@@ -69,7 +69,7 @@ def pres(a, b, c):
 def test_fd_decision_matches_point_system_up_to_40(validated_40):
     assert len(validated_40) == 3046
     for p in validated_40:
-        decision = _fd_decision(p, 1, p.u)
+        decision = _fd_decision(p, column_counts(p), p.u)
         assert decision == full_fd_decision(p, 1, p.u), p.triple
         assert decision == point_system_decision(p, 1, p.u), p.triple
 
@@ -81,7 +81,7 @@ def test_fd_decision_matches_rank_deep_pool():
     assert len(rows) == 1024
     for i, row in enumerate(rows):
         p = pres(row["a"], row["b"], row["c"])
-        rank, forced = _fd_decision(p, 1, p.u)
+        rank, forced = _fd_decision(p, column_counts(p), p.u)
         assert count_points(p, 1) == row["points"], row
         assert (row["points"] - rank, not forced) == (row["dim_piece_u"], row["noetherian"]), row
         assert (rank, forced) == full_fd_decision(p, 1, p.u), row
@@ -95,7 +95,7 @@ def test_fd_decision_matches_witness_extract_pool():
     for row in rows:
         p = pres(row["a"], row["b"], row["c"])
         assert count_points(p, 1) == row["points"], row
-        decision = _fd_decision(p, 1, p.u)
+        decision = _fd_decision(p, column_counts(p), p.u)
         assert decision == point_system_decision(p, 1, p.u), row
         assert decision == full_fd_decision(p, 1, p.u), row
         assert not decision[1], row  # every pool triple has a witness
@@ -116,7 +116,7 @@ def test_fd_decision_matches_point_system_beyond_hypotheses():
                 continue
             for n in range(1, e * p.u + 2):
                 want = point_system_decision(p, e, n)
-                assert _fd_decision(p, e, n) == want, (p.triple, e, n)
+                assert _fd_decision(p, column_counts(p, e), n) == want, (p.triple, e, n)
                 assert full_fd_decision(p, e, n) == want, (p.triple, e, n)
                 cases += 1
     assert cases > 1500
@@ -141,7 +141,7 @@ def test_fd_decision_matches_point_system_property(a, b, c, e, n_seed):
         assume(False)
     assume(count_points(p, e) <= 300)
     n = 1 + n_seed % (e * p.u + 1)
-    decision = _fd_decision(p, e, n)
+    decision = _fd_decision(p, column_counts(p, e), n)
     assert decision == point_system_decision(p, e, n), (p.triple, e, n)
     assert decision == full_fd_decision(p, e, n), (p.triple, e, n)
 
@@ -169,7 +169,7 @@ def large_u_sample():
 
 def test_fd_decision_matches_full_system_at_large_u():
     for band, p in enumerate(large_u_sample()):
-        decision = _fd_decision(p, 1, p.u)
+        decision = _fd_decision(p, column_counts(p), p.u)
         assert decision == full_fd_decision(p, 1, p.u), p.triple
         assert decision[1] is bool(band % 2), p.triple  # GK forces the constant term
 
@@ -186,7 +186,7 @@ def test_piece_dimension_matches_point_system_up_to_20(validated_30):
             for n in range(1, p.u + 2):
                 rank, forced = point_system_decision(p, e, n)
                 assert piece_dimension(p, e, n) == points - rank, (p.triple, e, n)
-                assert _fd_decision(p, e, n) == (rank, forced), (p.triple, e, n)
+                assert _fd_decision(p, column_counts(p, e), n) == (rank, forced), (p.triple, e, n)
                 cases += 1
     assert cases > 700
 
@@ -206,7 +206,8 @@ def test_fd_decision_matches_full_system_at_low_orders(validated_30):
             for n in range(1, 5):
                 f = sum(1 for ell in lengths[1:] if ell >= n)
                 sides.add("all full" if f >= n else "lowered" if f else "none full")
-                assert _fd_decision(p, e, n) == full_fd_decision(p, e, n), (p.triple, e, n)
+                decision = _fd_decision(p, column_counts(p, e), n)
+                assert decision == full_fd_decision(p, e, n), (p.triple, e, n)
     assert {"all full", "lowered"} <= sides
 
 
@@ -217,7 +218,7 @@ def test_fd_system_size_is_bounded_by_columns_and_orders(validated_30):
             lengths = column_lengths(p, e)
             for n in (1, 2, p.u, e * p.u + 1):
                 f = sum(1 for ell in lengths[1:] if ell >= n)
-                cols, m = _fd_columns(p, e, n)
+                cols, m = _fd_columns(p, column_counts(p, e), n)
                 assert m == max(0, n - f), (p.triple, e, n)
                 if not m:
                     assert cols == [], (p.triple, e, n)
@@ -236,7 +237,7 @@ def test_fd_columns_are_the_lowered_full_set_without_the_full_groups(validated_3
             lengths = column_lengths(p, e)
             for n in (1, 2, p.u, e * p.u + 1):
                 full = {al for al, ell in enumerate(lengths) if al and ell >= n}
-                cols, m = _fd_columns(p, e, n)
+                cols, m = _fd_columns(p, column_counts(p, e), n)
                 if m:
                     origin, *rest = full_fd_columns(p, e, m)
                     want = [(al, f) for al, f in rest if al not in full] + [origin]
@@ -285,8 +286,8 @@ def test_piece_dimension_at_the_separating_order_matches_point_system(validated_
 def both_column_sets(p):
     # the verdict's finite-difference columns at their lowered order, when
     # a system is left, and the kept points of the witness system at order u
-    cols, m = _fd_columns(p, 1, p.u)
-    point_set = (_point_columns(kept_points(_kept_groups(p, p.u)), p.u), p.u)
+    cols, m = _fd_columns(p, column_counts(p), p.u)
+    point_set = (_point_columns(kept_points(_kept_groups(p, column_counts(p), p.u)), p.u), p.u)
     return [(cols, m), point_set] if m else [point_set]
 
 
@@ -294,7 +295,7 @@ def test_fd_systems_eliminate_as_the_eager_kernel_up_to_30(validated_30):
     # the verdict's own systems: rows, pivots and every kernel vector as the
     # eagerly rescaled kernel gives them
     for p in validated_30:
-        cols, m = _fd_columns(p, 1, p.u)
+        cols, m = _fd_columns(p, column_counts(p), p.u)
         if m:
             assert_lazy_echelon_matches_eager(_system_rows(cols, m), len(cols))
 

@@ -20,6 +20,7 @@ from symrees.lattice import (
     DeltaRegion,
     LatticePoint,
     column_counts,
+    column_top,
     compute_nm,
     count_points,
     enumerate_points,
@@ -137,19 +138,23 @@ def test_enumeration_rejects_bad_scale():
 
 
 def test_column_bounds_match_exact_boundary_arithmetic(validated_30):
-    # the integer fast path must agree with floor/ceil of the Fraction form
-    import math
-
+    # the integer fast path must agree with floor/ceil of the Fraction form,
+    # and so must the column profile at every scale and each column's top
     for p in validated_30[::17]:
-        for e in (1, 2):
+        for e in (1, 2, 3):
             region = DeltaRegion(p, e)
             points = enumerate_points(p, e)
-            assert count_points(p, e) == len(points), (p.triple, e)
+            counts = column_counts(p, e)
+            assert count_points(p, e) == len(points) == 1 + sum(counts), (p.triple, e)
+            assert len(counts) == e * p.u, (p.triple, e)
             for alpha in range(e * p.u + 1):
                 lo, hi = beta_range(region, alpha)
                 betas = sorted(pt.beta for pt in points if pt.alpha == alpha)
                 expected = list(range(math.ceil(lo), math.floor(hi) + 1))
                 assert betas == expected, (p.triple, e, alpha)
+                if alpha:
+                    assert counts[alpha - 1] == len(betas), (p.triple, e, alpha)
+                    assert column_top(p, alpha) == math.floor(hi), (p.triple, e, alpha)
 
 
 def tallied_column_counts(p):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import symrees.scan
 from symrees.records import to_dict
 from symrees.scan import ScanJob, classify_one, iter_triples, run_scan
 
@@ -66,3 +67,33 @@ def test_scan_bytes_match_recorded_digest(jobs):
         size += len(line)
     assert size == recorded["bytes"]
     assert digest.hexdigest() == recorded["sha256"]
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, started",
+    [(4, 100000, [4]), (4, 2, [2]), (2, 16, [2]), (None, 8, []), (1, 3, [])],
+)
+def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, started):
+    # a worker count above the CPUs starts one worker per CPU, and one worker
+    # (or an unknown CPU count) runs in-process; the records do not change.
+    # The pool is a recorder that maps in-process, so no process starts.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(symrees.scan, "Pool", RecordingPool)
+    monkeypatch.setattr(symrees.scan.os, "cpu_count", lambda: cpus)
+    records = list(run_scan(ScanJob(8, jobs=jobs)))
+    assert pools == started
+    assert records == list(run_scan(ScanJob(8)))

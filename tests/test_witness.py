@@ -373,6 +373,31 @@ def counting(calls, name, fn):
     return wrapper
 
 
+def test_one_column_sweep_per_verdict_and_per_piece(monkeypatch):
+    # the column profile of the EU report gives the point count, the kept
+    # groups and the finite-difference system, and piece_dimension reads one
+    # profile for its early exit, its point count and its system, so each
+    # call walks the column bounds once: decided, with or without a
+    # witness, through the fallback's decision, or inapplicable
+    p = pres(40, 57, 11)
+    calls = Counter()
+    sweep = counting(calls, "sweeps", symrees.lattice._column_bounds)
+    monkeypatch.setattr(symrees.lattice, "_column_bounds", sweep)
+    monkeypatch.setattr(symrees.witness, "_column_bounds", sweep, raising=False)  # if imported
+    runs = [
+        lambda: classify(CurveTriple(8, 19, 9)).noetherian,
+        lambda: classify(CurveTriple(8, 19, 9), want_witness=True).witness is not None,
+        lambda: classify(CurveTriple(17, 503, 169), want_witness=True).noetherian,
+        lambda: classify(CurveTriple(16, 683, 97)).noetherian,
+        lambda: piece_dimension(p, 2, 28),
+    ]
+    got = []
+    for run in runs:
+        calls.clear()
+        got.append((run(), calls["sweeps"]))
+    assert got == [(True, 1), (True, 1), (False, 1), (None, 1), (19, 1)]
+
+
 def test_classify_back_substitutes_the_witness_without_elimination(monkeypatch, validated_30):
     # a witness whose kept counts are u, u-1, ..., 1 comes from back-substitution
     # through the order lowering, with no row built and nothing eliminated;

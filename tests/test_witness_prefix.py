@@ -39,7 +39,7 @@ from oracles import (
     vertices,
 )
 from symrees.criteria import check_eu
-from symrees.lattice import DeltaRegion, count_points, enumerate_points
+from symrees.lattice import DeltaRegion, column_counts, column_top, count_points, enumerate_points
 from symrees.presentation import (
     CurveTriple,
     NotCoprimeError,
@@ -80,9 +80,14 @@ def assert_same_witness(got, want, label):
         assert (got[3].e, got[3].n) == (want[3].e, want[3].n), label
 
 
+def kept_groups(p):
+    """The kept groups of the (e=1, n=u) witness system, from the column profile of D."""
+    return _kept_groups(p, column_counts(p), p.u)
+
+
 def staircase(p):
     """Are the kept counts u, u-1, ..., 1, so that the witness is back-substituted?"""
-    return sorted(k for _, _, k in _kept_groups(p, p.u)) == list(range(1, p.u + 1))
+    return sorted(k for _, _, k in kept_groups(p)) == list(range(1, p.u + 1))
 
 
 def assert_matches_point_system(p):
@@ -150,7 +155,7 @@ def test_prefix_witness_on_triangles_far_larger_than_the_prefixes(no_fallback):
         assert validate_assumptions(p).all_hold and p.u == u
         want = assert_matches_point_system(p)
         assert want[0] == points and len(prefix_points(p, 1, u)) == prefix <= u**2 + 1
-        assert len(kept_points(_kept_groups(p, u))) == kept
+        assert len(kept_points(kept_groups(p))) == kept
         if want[2]:
             assert extract_witness(p) == want[3]
 
@@ -170,7 +175,7 @@ def test_prefix_witness_matches_point_system_property(a, b, c):
     except NotThreeGeneratedError:
         assume(False)
     assume(p.u <= 16 and count_points(p, 1) <= 400)
-    got = _witness_test(p, want_witness=True)
+    got = (count_points(p, 1), *_witness_test(p, column_counts(p), want_witness=True))
     assert_same_witness(got, point_system_witness(p), p.triple)
 
 
@@ -185,8 +190,8 @@ def test_fallback_eliminates_exactly_the_kept_columns(monkeypatch, validated_30)
     monkeypatch.setattr(symrees.witness, "_echelon", recording)
     sample = validated_30[::3] + [pres(5883, 4379, 1466), pres(17, 503, 169)]
     for p in sample:
-        _kept_elimination(_kept_groups(p, p.u), p.u)
-    assert shapes == [len(kept_points(_kept_groups(p, p.u))) for p in sample]
+        _kept_elimination(kept_groups(p), p.u)
+    assert shapes == [len(kept_points(kept_groups(p))) for p in sample]
     assert all(shape <= p.u**2 + 1 for p, shape in zip(sample, shapes))
 
 
@@ -196,7 +201,7 @@ def test_fallback_elimination_matches_point_system_up_to_30(validated_30):
     found = 0
     for p in validated_30:
         points, rank, exists, witness = point_system_witness(p)
-        got_rank, got = _kept_elimination(_kept_groups(p, p.u), p.u)
+        got_rank, got = _kept_elimination(kept_groups(p), p.u)
         want = (points, rank, exists, witness)
         assert_same_witness((points, got_rank, got is not None, got), want, p.triple)
         found += exists
@@ -214,7 +219,7 @@ def test_kept_columns_keep_the_rank_and_the_witness_column_of_the_prefixes(valid
     # the truncation argument of witness._kept_groups, against the depth-u prefixes
     cut = 0
     for p in validated_30:
-        prefix, kept = prefix_points(p, 1, p.u), kept_points(_kept_groups(p, p.u))
+        prefix, kept = prefix_points(p, 1, p.u), kept_points(kept_groups(p))
         kept_set = set(kept)
         assert kept == [pt for pt in prefix if pt in kept_set], p.triple
         (rank, fc), (kept_rank, kept_fc) = eliminate(prefix, p.u), eliminate(kept, p.u)
@@ -243,14 +248,13 @@ def test_eu_profile_whose_kept_counts_are_not_u_to_1(monkeypatch, validated_30):
     # column lengths 3, 3, 5, 4, 1 at u = 5 pass EU's sorted test, but the
     # two groups of length 3 wait below the order and are taken out one
     # order apart, so each keeps 3 points: the witness request is decided
-    # first and the kept points are eliminated, which finds the witness
-    lengths = [3, 3, 5, 4, 1]
+    # first and the kept points are eliminated, which finds the witness; the
+    # profile goes to both functions as the verdict hands over its EU report's
+    lengths = (3, 3, 5, 4, 1)
     assert all(ell >= i for i, ell in enumerate(sorted(lengths), 1))
     p = next(p for p in validated_30 if p.u == 5)
-    bounds = [(0, 0)] + [(alpha - ell + 1, alpha) for alpha, ell in enumerate(lengths, 1)]
-    monkeypatch.setattr(symrees.witness, "_column_bounds", lambda p, e: iter(bounds))
-    groups = _kept_groups(p, 5)
-    assert [k for _, _, k in groups] == lengths
+    groups = _kept_groups(p, lengths, 5)
+    assert groups == [(al, column_top(p, al), k) for al, k in enumerate(lengths, 1)]
     calls = Counter()
 
     def counting(name, fn):
@@ -262,7 +266,7 @@ def test_eu_profile_whose_kept_counts_are_not_u_to_1(monkeypatch, validated_30):
 
     for name in ("_back_substituted", "_kept_elimination"):
         monkeypatch.setattr(symrees.witness, name, counting(name, getattr(symrees.witness, name)))
-    _, rank, exists, witness = _witness_test(p, want_witness=True)
+    rank, exists, witness = _witness_test(p, lengths, want_witness=True)
     assert (rank, exists, calls) == (15, True, {"_kept_elimination": 1})
     points = kept_points(groups)
     vec = next(vec for vec in rref_null_space(scaled_system(points, 5)) if vec[0])
@@ -295,7 +299,7 @@ def test_back_substitution_matches_kept_elimination_at_large_u():
     for p in sample:
         assert staircase(p), p.triple
         v = classify(p.triple, want_witness=True)
-        rank, witness = _kept_elimination(_kept_groups(p, p.u), p.u)
+        rank, witness = _kept_elimination(kept_groups(p), p.u)
         assert rank == v.points - v.dim_piece_u == p.u * (p.u + 1) // 2, p.triple
         assert list(v.witness.coefficients.items()) == list(witness.coefficients.items()), p.triple
         assert shift_membership_test(v.witness.coefficients, p.u), p.triple
