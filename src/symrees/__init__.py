@@ -17,7 +17,6 @@ from .lattice import (  # noqa: F401
     LatticePoint,
     column_counts,
     compute_nm,
-    enumerate_points,
 )
 from .criteria import (  # noqa: F401
     EuReport,

@@ -18,12 +18,13 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .lattice import DeltaRegion, LatticePoint, count_points
+from .lattice import DeltaRegion, LatticePoint
 from .polynomials import (
     FamilyRejectionError,
     SparsePoly,
@@ -41,8 +42,8 @@ from .records import CSV_COLUMNS, csv_row, from_verdict, human_table, to_dict
 from .scan import ScanJob, run_scan
 from .witness import (
     InternalConsistencyError,
+    _points_and_dimension,
     classify,
-    piece_dimension,
     shift_membership_test,
 )
 
@@ -124,7 +125,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    job = ScanJob.upto(
+    job = ScanJob(
         args.max,
         u_max=args.u_le,
         require_assumptions=args.require_assumptions,
@@ -152,10 +153,8 @@ def _cmd_piece_dim(args) -> int:
     if args.e < 1 or args.n < 0:
         print("piece-dim: need --e >= 1 and --n >= 0", file=sys.stderr)
         return 3
-    pres = compute_presentation(triple)
-    points = count_points(pres, args.e)
+    points, dim = _points_and_dimension(compute_presentation(triple), args.e, args.n)
     constraints = args.n * (args.n + 1) // 2  # derivative orders (k, l), k + l < n
-    dim = piece_dimension(pres, args.e, args.n)
     print(json.dumps({
         "triple": [args.a, args.b, args.c],
         "e": args.e,
@@ -190,42 +189,52 @@ def _witness_payload(verdict) -> dict:
 
 
 _TERM_FIELDS = {"lattice_coefficients": ("alpha", "beta"), "monomials": ("x", "y", "z")}
+_COEFFICIENT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str(Fraction)
 
 
-def _is_term(item, fields) -> bool:
-    """A dict with integer ``fields`` and a rational ``coefficient`` string."""
+def _term(item, fields) -> tuple[tuple[int, ...], Fraction] | None:
+    """(integer ``fields``, coefficient) of a term as ``_witness_payload`` writes it, or None.
+
+    The coefficient is parsed once, and only in the form str(Fraction) writes:
+    an exponent form such as "1e100000000", which takes Fraction seconds, is refused unparsed.
+    """
     if not isinstance(item, dict) or any(type(item.get(name)) is not int for name in fields):
-        return False
+        return None
+    text = item.get("coefficient")
+    if not (isinstance(text, str) and _COEFFICIENT.fullmatch(text)):
+        return None
     try:
-        Fraction(item["coefficient"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        return False
-    return isinstance(item["coefficient"], str)
+        return tuple(item[name] for name in fields), Fraction(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
-def _payload_problem(payload) -> str | None:
-    """Why ``payload`` is not a well-formed witness payload, or None if it is."""
+def _payload_problem(payload) -> tuple[str | None, dict]:
+    """(why ``payload`` is not a well-formed witness payload or None, its parsed terms)."""
     if not isinstance(payload, dict):
-        return "not a JSON object"
+        return "not a JSON object", {}
     missing = [k for k in ("triple", "e", "order", "degree", *_TERM_FIELDS) if k not in payload]
     if missing:
-        return f"missing {', '.join(missing)}"
+        return f"missing {', '.join(missing)}", {}
     triple = payload["triple"]
     if not (isinstance(triple, list) and len(triple) == 3 and all(type(x) is int for x in triple)):
-        return "triple is not three integers"
+        return "triple is not three integers", {}
     for key in ("e", "order", "degree"):
         if type(payload[key]) is not int or payload[key] < 1:
-            return f"{key} is not a positive integer"
+            return f"{key} is not a positive integer", {}
+    terms = {}
     for key, fields in _TERM_FIELDS.items():
-        if not isinstance(payload[key], list) or not all(_is_term(t, fields) for t in payload[key]):
-            return f"{key} is not a list of integer terms with rational coefficients"
-        at = [tuple(t[name] for name in fields) for t in payload[key]]
-        if len(set(at)) < len(at):
-            return f"{key} lists a ({', '.join(fields)}) twice"
-    return None
+        items = payload[key] if isinstance(payload[key], list) else [None]
+        parsed = [_term(t, fields) for t in items]
+        if None in parsed:
+            return f"{key} is not a list of integer terms with rational coefficients", {}
+        terms[key] = dict(parsed)
+        if len(terms[key]) < len(parsed):
+            return f"{key} lists a ({', '.join(fields)}) twice", {}
+    return None, terms
 
 
-def _reverify_witness(payload: dict) -> list[str]:
+def _reverify_witness(payload: dict, terms: dict) -> list[str]:
     """Exact re-checks of an emitted witness; returns failure messages.
 
     Only the degree-ab piece of the u-th symbolic power (e = 1, order u)
@@ -245,10 +254,7 @@ def _reverify_witness(payload: dict) -> list[str]:
     ]
     if problems:
         return problems
-    coeffs = {
-        LatticePoint(item["alpha"], item["beta"]): Fraction(item["coefficient"])
-        for item in payload["lattice_coefficients"]
-    }
+    coeffs = {LatticePoint(*pt): coeff for pt, coeff in terms["lattice_coefficients"].items()}
     if coeffs.get(LatticePoint(0, 0)) != 1:
         problems.append("constant lattice coefficient is not 1")
     region = DeltaRegion(pres, payload["e"])
@@ -256,16 +262,13 @@ def _reverify_witness(payload: dict) -> list[str]:
         problems.append("support leaves the triangle")
     if not shift_membership_test(coeffs, payload["order"]):
         problems.append("shift-substitution membership fails")
-    monomials = {
-        (item["x"], item["y"], item["z"]): Fraction(item["coefficient"])
-        for item in payload["monomials"]
-    }
+    monomials = terms["monomials"]
     expansion = {region.monomial_exponents(pt): coeff for pt, coeff in coeffs.items() if coeff}
     if {ex: coeff for ex, coeff in monomials.items() if coeff} != expansion:
         problems.append("monomials are not the expansion of the lattice coefficients")
     if not curve_substitution_zero(SparsePoly(monomials), (a, b, c)):
         problems.append("reconstructed polynomial does not vanish on the curve")
-    degrees = {item["x"] * a + item["y"] * b + item["z"] * c for item in payload["monomials"]}
+    degrees = {x * a + y * b + z * c for x, y, z in monomials}
     if degrees != {payload["degree"]}:
         problems.append(f"monomial degrees {sorted(degrees)} != {payload['degree']}")
     return problems
@@ -280,14 +283,14 @@ def _cmd_witness(args) -> int:
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             problem = f"not JSON ({exc})"
         else:
-            problem = _payload_problem(payload)
+            problem, terms = _payload_problem(payload)
         if problem:
             print(f"FAIL: malformed witness file: {problem}", file=sys.stderr)
             return 4
         if tuple(payload["triple"]) != (args.a, args.b, args.c):
             print(f"witness file is for triple {payload['triple']}", file=sys.stderr)
             return 4
-        problems = _reverify_witness(payload)
+        problems = _reverify_witness(payload, terms)
         if problems:
             for msg in problems:
                 print(f"FAIL: {msg}", file=sys.stderr)
@@ -303,7 +306,8 @@ def _cmd_witness(args) -> int:
         print("no witness (not Noetherian)", file=sys.stderr)
         return 1
     payload = _witness_payload(verdict)
-    problems = _reverify_witness(payload)
+    problem, terms = _payload_problem(payload)
+    problems = [problem] if problem else _reverify_witness(payload, terms)
     if problems:  # would mean an extraction bug
         for msg in problems:
             print(f"internal error: {msg}", file=sys.stderr)

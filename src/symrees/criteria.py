@@ -6,8 +6,8 @@ finite generation under the classifier hypotheses.
 
 GK: an interval-count condition on the boundary slopes, sufficient for
 infinite generation.  It has a two-clause defining form and an equivalent
-five-case form (GK1..GK5) valid under the hypotheses; both are always
-computed and compared.
+five-case form (GK1..GK5) valid under the hypotheses; ``check_gk``
+computes both and ``classify`` compares them, with its other cross-checks.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .lattice import column_counts, compute_nm, interval_count
-from .presentation import HerzogPresentation, InternalConsistencyError
+from .lattice import _left_count, _right_count, column_counts, compute_nm
+from .presentation import HerzogPresentation
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,10 @@ class GkReport:
         return self.def_I_holds or self.def_II_holds
 
 
-def _right_count(p: HerzogPresentation, scale: int) -> int:
-    # integers in scale * [u2/u, t/t3]
-    return interval_count(scale * p.u2, p.u, scale * p.t, p.t3)
-
-
-def _left_count(p: HerzogPresentation, scale: int) -> int:
-    # integers in scale * [-s2/s3, u2/u]
-    return interval_count(-scale * p.s2, p.s3, scale * p.u2, p.u)
-
-
-def _gk_definition(p: HerzogPresentation, n: int, m: int) -> GkReport:
+def _gk_definition(p: HerzogPresentation, n: int, m: int) -> tuple[bool, bool]:
     def_I = _right_count(p, n - 1) == n and (p.u2 * n) % p.u != 0
     def_II = _left_count(p, m - 1) == m and (p.u1 * m) % p.u != 0
-    return GkReport(n, m, def_I, def_II, five_way=None)
+    return def_I, def_II
 
 
 def _gk_five(p: HerzogPresentation, n: int, m: int) -> GkClause | None:
@@ -89,20 +79,7 @@ def _gk_five(p: HerzogPresentation, n: int, m: int) -> GkClause | None:
     return None
 
 
-def check_gk(p: HerzogPresentation, *, validated: bool = False) -> GkReport:
-    """Evaluate GK in both forms; with validated=True a mismatch is fatal.
-
-    Under the classifier hypotheses the defining form holds iff some five-way
-    clause fires; a disagreement there would mean the hypothesis validation
-    itself is broken, so it raises instead of returning.  (n, m) is
-    computed once and shared by both forms.
-    """
+def check_gk(p: HerzogPresentation) -> GkReport:
+    """GK in both forms from one (n, m); never raises (``classify`` compares the forms)."""
     n, m = compute_nm(p)
-    report = _gk_definition(p, n, m)
-    clause = _gk_five(p, n, m)
-    if validated and report.holds != (clause is not None):
-        raise InternalConsistencyError(
-            f"GK forms disagree on {p.triple}: definition={report.holds}, "
-            f"five-way={clause}"
-        )
-    return GkReport(report.n, report.m, report.def_I_holds, report.def_II_holds, clause)
+    return GkReport(n, m, *_gk_definition(p, n, m), _gk_five(p, n, m))

@@ -14,11 +14,12 @@ All comparisons are exact: each column of points is obtained by one ceil
 and one floor in integer arithmetic, in one helper, `_column_bounds`.  One
 sweep of it gives the column profile `column_counts`, with no point and no
 Fraction built, so an inapplicable triple costs O(u) rather than the area
-of D.  EU, the point totals, the verdict system and the points kept for a
-witness (at most u^2 + 1, `symrees.witness._kept_groups`) read only that
-profile and `column_top`.  `DeltaRegion.contains` tests the three
-inequalities above, cross-multiplied by their positive denominators.  GK
-counts slopes with one integer helper, `interval_count`.  Nothing is cached.
+of D.  It is the only point count: EU, the point totals of a verdict and
+of a piece, the verdict system and the points kept for a witness (at most
+u^2 + 1, `symrees.witness._kept_groups`) read only it and `column_top`.
+`DeltaRegion.contains` tests the three inequalities above, cross-multiplied
+by their positive denominators.  GK counts slopes with one integer helper,
+`interval_count`.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -94,29 +95,12 @@ def column_top(p: HerzogPresentation, alpha: int) -> int:
     return (p.u2 * alpha) // p.u
 
 
-def enumerate_points(p: HerzogPresentation, e: int = 1) -> list[LatticePoint]:
-    """Integer points of e*D, ordered by (alpha ascending, beta descending).
-
-    The ordering is frozen so that constraint matrices, witnesses and
-    regression values are reproducible bit for bit.  (0, 0) is always first.
-    """
-    points = []
-    for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
-        points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
-    return points
-
-
-def count_points(p: HerzogPresentation, e: int = 1) -> int:
-    """Number of integer points of e*D: (0, 0) plus the column counts."""
-    return 1 + sum(column_counts(p, e))
-
-
 def column_counts(p: HerzogPresentation, e: int = 1) -> tuple[int, ...]:
     """(l_1, ..., l_(e*u)): points of e*D per column alpha = 1..e*u (alpha = 0 excluded).
 
-    Each count is max(0, b_hi - b_lo + 1) from the same integer column
-    bounds that `enumerate_points` walks, so it costs O(e*u) whatever the
-    area of e*D: no point is built and nothing is cached.
+    Each count is max(0, b_hi - b_lo + 1) from the integer column bounds,
+    so it costs O(e*u) whatever the area of e*D: no point is built and
+    nothing is cached.  The points of e*D number 1 + sum(column_counts(p, e)).
     """
     bounds = _column_bounds(p, e)
     next(bounds)  # column alpha = 0 holds only (0, 0)
@@ -132,13 +116,20 @@ def interval_count(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> int:
     return max(0, hi_num // hi_den + (-lo_num) // lo_den + 1)
 
 
+def _left_count(p: HerzogPresentation, scale: int) -> int:
+    # integers in scale * [-s2/s3, u2/u]
+    return interval_count(-scale * p.s2, p.s3, scale * p.u2, p.u)
+
+
+def _right_count(p: HerzogPresentation, scale: int) -> int:
+    # integers in scale * [u2/u, t/t3]
+    return interval_count(scale * p.u2, p.u, scale * p.t, p.t3)
+
+
 def compute_nm(p: HerzogPresentation) -> tuple[int, int]:
     """Integer counts n, m of the slope intervals bounding the triangle.
 
     n counts [-s2/s3, u2/u] and m counts [u2/u, t/t3]; both are >= 1 since
     the first interval contains 0 and the second contains 1.
     """
-    return (
-        interval_count(-p.s2, p.s3, p.u2, p.u),
-        interval_count(p.u2, p.u, p.t, p.t3),
-    )
+    return _left_count(p, 1), _right_count(p, 1)

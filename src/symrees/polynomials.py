@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .presentation import CurveTriple, HerzogPresentation
+from .presentation import CurveTriple, HerzogPresentation, is_negative_curve
 
 Expt = tuple[int, int, int]
 Staircase = tuple[tuple[int, int], ...]  # generators y^i z^j of a monomial ideal, as (i, j)
@@ -143,12 +143,6 @@ def curve_substitution_zero(poly: SparsePoly, weights: Expt) -> bool:
         d = ex * a + ey * b + ez * c
         acc[d] = acc.get(d, 0) + coeff.numerator * (scale // coeff.denominator)
     return not any(acc.values())
-
-
-def is_negative_curve(degree: int, order: int, weights: Expt) -> bool:
-    """degree/order < sqrt(a*b*c), compared as degree^2 < order^2 * a*b*c."""
-    a, b, c = weights
-    return degree * degree < order * order * a * b * c
 
 
 def _x(k: int) -> SparsePoly:
@@ -304,7 +298,7 @@ def symbolic_slice_length(p: HerzogPresentation, n: int) -> int:
 
 
 def check_product_power_gap(p: HerzogPresentation) -> tuple[int, int, int]:
-    """(product length, symbolic length, gap) certifying strict inclusion.
+    """(product length, symbolic length, gap) of the x = 0 slices.
 
     The x = 0 slice of (2nd power)*(3rd power) is strictly smaller than that
     of the 5th symbolic power; the colength difference is
@@ -313,11 +307,7 @@ def check_product_power_gap(p: HerzogPresentation) -> tuple[int, int, int]:
     """
     len_product = staircase_length(product_23_slice_ideal(p))
     len_symbolic = symbolic_slice_length(p, 5)
-    gap = len_product - len_symbolic
-    expected = min(p.u2 - p.u1, 2 * p.u1 - p.u2)
-    if gap != expected:
-        raise AssertionError(f"gap {gap} != min(u2-u1, 2u1-u2) = {expected}")
-    return len_product, len_symbolic, gap
+    return len_product, len_symbolic, len_product - len_symbolic
 
 
 class FamilyRejectionError(ValueError):
@@ -358,8 +348,6 @@ def generate_family(alpha: Fraction, beta: Fraction, m: int, n: int) -> FamilyPa
         raise FamilyRejectionError(f"beta={beta} violates 2 < beta < {bound}")
     s2, s3 = beta.numerator * m, beta.denominator * m
     u1, u2 = alpha.denominator * n, alpha.numerator * n
-    # implied by the parameter box; a failure here would be a bug
-    assert s2 > 2 * s3 and u1 < u2 < 2 * u1
     s, u = s2 + s3, u1 + u2
     triple = CurveTriple(u1 + u, s3 * u2 + s2 * u, s2 + 2 * s3)
     return FamilyParams(alpha, beta, m, n, HerzogPresentation(triple, s, 2, u, s2, s3, 1, 1, u1, u2))
@@ -377,7 +365,7 @@ def verify_family_report(params: FamilyParams) -> list[FamilyCheck]:
 
     Returns one entry per clause so callers can print a pass/fail line each;
     all checks are exact.  A numerator that x^s3 does not divide is a FAIL
-    line, and the report stops there.
+    line, and the report stops there; so is a gap other than min(u2-u1, 2u1-u2).
     """
     p = params.presentation
     weights = (p.a, p.b, p.c)
@@ -430,7 +418,7 @@ def verify_family_report(params: FamilyParams) -> list[FamilyCheck]:
     checks.append(
         FamilyCheck(
             "order 2*3 product is strictly smaller than the order-5 power",
-            gap > 0 and len_product > len_symbolic,
+            gap == min(p.u2 - p.u1, 2 * p.u1 - p.u2) > 0,
             f"colengths {len_product} vs {len_symbolic} (gap {gap})",
         )
     )

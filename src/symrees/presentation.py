@@ -9,7 +9,7 @@ where s, t, u are the least multiples of a, b, c lying in the numerical
 semigroup spanned by the other two weights.  This module computes those
 exponents and checks the hypotheses under which the classifier operates:
 pairwise coprimality, minimal generation by three elements, and the
-negative-curve inequality u^2 c < ab.
+negative-curve inequality u^2 c < ab, written once, in ``is_negative_curve``.
 
 The presentation is built in one step from the minimal-j witnesses of
 ``_minimal_multiple``; ``compute_presentation`` proves that they are the
@@ -78,9 +78,10 @@ class HerzogPresentation:
     """Exponent datum of the three binomial generators.
 
     Its identities are checked on construction: all six exponents >= 1,
-    s = s2 + s3, t = t1 + t3, u = u1 + u2, the degree identities
-    s*a = t1*b + u1*c etc., and the closed forms a = t*u - t3*u2,
-    b = s*u - s3*u1, c = s*t - s2*t1.  Only ``compute_presentation`` makes
+    s = s2 + s3, t = t1 + t3, u = u1 + u2, and the closed forms
+    a = t*u - t3*u2, b = s*u - s3*u1, c = s*t - s2*t1, which imply the
+    degree identities (both sides of s*a = t1*b + u1*c expand to
+    s*(t1*u + t3*u1), and so on).  Only ``compute_presentation`` makes
     it the presentation of p(a, b, c): a datum built directly, such as a
     scaled member of the family in ``symrees.polynomials``, need not have
     pairwise coprime weights.
@@ -132,9 +133,6 @@ class HerzogPresentation:
             and self.s == self.s2 + self.s3
             and self.t == self.t1 + self.t3
             and self.u == self.u1 + self.u2
-            and self.s * a == self.t1 * b + self.u1 * c
-            and self.t * b == self.s2 * a + self.u2 * c
-            and self.u * c == self.s3 * a + self.t3 * b
             and a == self.t * self.u - self.t3 * self.u2
             and b == self.s * self.u - self.s3 * self.u1
             and c == self.s * self.t - self.s2 * self.t1
@@ -194,17 +192,18 @@ class AssumptionReport:
         return self.pairwise_coprime and self.three_generated and self.negative_curve_iii
 
 
-def negative_curve_condition(p: HerzogPresentation) -> bool:
-    """Exact form of u*c < sqrt(a*b*c): compare u^2 * c with a * b.
+def is_negative_curve(degree: int, order: int, weights: tuple[int, int, int]) -> bool:
+    """degree/order < sqrt(a*b*c), compared as degree^2 < order^2 * a*b*c.
 
-    Strict inequality; equality counts as a failure.
+    Strict; at degree u*c and order 1 it reads u^2 c < ab.
     """
-    return p.u * p.u * p.c < p.a * p.b
+    a, b, c = weights
+    return degree * degree < order * order * a * b * c
 
 
 def validate_assumptions(p: HerzogPresentation) -> AssumptionReport:
     return AssumptionReport(
         pairwise_coprime=p.triple.pairwise_coprime(),
         three_generated=True,
-        negative_curve_iii=negative_curve_condition(p),
+        negative_curve_iii=is_negative_curve(p.deg_h, 1, (p.a, p.b, p.c)),
     )

@@ -32,6 +32,7 @@ class ScanJob:
     require_assumptions: bool = False
     jobs: int = 1
 
+    # ScanJob(...) under a second name, kept for perfbench: run.py SETUP_CODE, workloads.scan_once
     @classmethod
     def upto(cls, bound: int, **kwargs) -> "ScanJob":
         return cls(bound, **kwargs)

@@ -235,12 +235,18 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
     one, so the rows, which span the polynomials of degree < n evaluated at
     the points, have full rank.
     """
+    return _points_and_dimension(p, e, n)[1]
+
+
+def _points_and_dimension(p: HerzogPresentation, e: int, n: int) -> tuple[int, int]:
+    """(lattice points of e*D, ``piece_dimension``), both from one ``column_counts``."""
     if e < 1 or n < 0:
         raise ValueError("need e >= 1 and n >= 0")
     lengths = column_counts(p, e)
+    points = 1 + sum(lengths)  # column 0 holds only (0, 0)
     if n >= sum(map(bool, lengths)) + max(lengths):  # k + L - 1, k counting column 0
-        return 0
-    return 1 + sum(lengths) - _fd_decision(p, lengths, n)[0]
+        return points, 0
+    return points, points - _fd_decision(p, lengths, n)[0]
 
 
 def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
@@ -561,9 +567,9 @@ def _inapplicable(triple, assumptions, reason, presentation=None, eu=None, gk=No
 def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
     """Full pipeline: presentation, hypotheses, EU, GK, witness test.
 
-    Cross-checks the proved implications on the way (EU forces a witness,
-    GK forbids one, and for u <= 6 exactly one of EU and GK holds) and
-    raises InternalConsistencyError if they ever fail.
+    Cross-checks the proved facts on the way (the two GK forms agree, EU
+    forces a witness, GK forbids one, and for u <= 6 exactly one of EU and
+    GK holds) and raises InternalConsistencyError if they ever fail.
     """
     try:
         pres = compute_presentation(triple)
@@ -583,7 +589,7 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
     triple = pres.triple
     assumptions = validate_assumptions(pres)
     eu = check_eu(pres)
-    gk = check_gk(pres, validated=assumptions.all_hold)
+    gk = check_gk(pres)
     if not assumptions.all_hold:
         return _inapplicable(
             triple,
@@ -605,6 +611,9 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
     # makes the verdict the EU verdict
     if pres.u <= 6 and not (eu.holds or gk.holds):
         raise InternalConsistencyError(f"u <= 6 but neither EU nor GK holds on {triple}")
+    if gk.holds != (gk.five_way is not None):  # the two GK forms are equivalent here
+        forms = f"definition={gk.holds}, five-way={gk.five_way}"
+        raise InternalConsistencyError(f"GK forms disagree on {triple}: {forms}")
     n_points = 1 + sum(eu.ell)  # column 0 holds only (0, 0)
     return Verdict(
         triple=triple,

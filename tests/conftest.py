@@ -8,7 +8,7 @@ from symrees.scan import ScanJob, iter_triples
 def validated_presentations(bound):
     """All presentations with a, b, c <= bound satisfying the hypotheses."""
     out = []
-    for a, b, c in iter_triples(ScanJob.upto(bound)):
+    for a, b, c in iter_triples(ScanJob(bound)):
         try:
             pres = compute_presentation(CurveTriple(a, b, c))
         except (NotCoprimeError, NotThreeGeneratedError):

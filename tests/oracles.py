@@ -1,9 +1,11 @@
 """Plain rational reference implementations that only the tests use.
 
 Each one is the straightforward route the package's faster code must agree
-with: a dense rational matrix with rank, row-space and kernel queries, a
-Fraction reduced row echelon form (unique, so it pins down ranks, pivots
-and the canonical kernel basis), the eagerly rescaled Bareiss elimination,
+with: every lattice point of the triangle in point order (the package
+reads only the column counts), a dense rational matrix with rank,
+row-space and kernel queries, a Fraction reduced row echelon form
+(unique, so it pins down ranks, pivots and the canonical kernel basis),
+the eagerly rescaled Bareiss elimination,
 a guard row reduced against an echelon form (the package decides the
 constant term by a pivot test instead), matrix-vector products, the
 shift-substitution membership test with Fraction coefficients and term by
@@ -33,13 +35,27 @@ from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Sequence
 
-from symrees.lattice import LatticePoint, _column_bounds, enumerate_points, interval_count
+from symrees.lattice import LatticePoint, _column_bounds, interval_count
 from symrees.linalg import Echelon, _echelon
 from symrees.presentation import CurveTriple
 from symrees.records import VerdictRecord
 from symrees.witness import WitnessElement, _binom_table, _system_rows
 
 Rat = int | Fraction
+
+
+def enumerate_points(p, e: int = 1) -> list[LatticePoint]:
+    """Integer points of e*D, ordered by (alpha ascending, beta descending).
+
+    The ordering is frozen so that constraint matrices, witnesses and
+    regression values are reproducible bit for bit.  (0, 0) is always first.
+    The package counts points from ``lattice.column_counts`` alone; the point
+    systems here walk the same column bounds.
+    """
+    points = []
+    for alpha, (b_lo, b_hi) in enumerate(_column_bounds(p, e)):
+        points.extend(LatticePoint(alpha, beta) for beta in range(b_hi, b_lo - 1, -1))
+    return points
 
 
 def derivative_orders(n: int) -> list[tuple[int, int]]:

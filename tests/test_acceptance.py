@@ -106,7 +106,7 @@ def test_criterion_4_family_instance():
 
 def test_criterion_5_property_scan_to_60():
     start = time.perf_counter()
-    records = list(run_scan(ScanJob.upto(60, require_assumptions=True, jobs=2)))
+    records = list(run_scan(ScanJob(60, require_assumptions=True, jobs=2)))
     by_triple = {r.triple: r for r in records}
     violations = []
     for r in records:

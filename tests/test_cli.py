@@ -213,6 +213,17 @@ def _verify_file(capsys, tmp_path, text):
     return run_cli(capsys, "witness", "8", "19", "9", "--verify", str(path))
 
 
+def _record_parses(monkeypatch):
+    parsed = []
+
+    def recording(text):
+        parsed.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr("symrees.cli.Fraction", recording)
+    return parsed
+
+
 def _emitted_payload(capsys, tmp_path):
     out_file = tmp_path / "emitted.json"
     run_cli(capsys, "witness", "8", "19", "9", "--out", str(out_file))
@@ -261,6 +272,46 @@ def test_witness_verify_rejects_mistyped_fields(capsys, tmp_path):
         code, _, err = _verify_file(capsys, tmp_path, json.dumps({**payload, key: value}))
         assert code == 4, (key, value)
         assert err.startswith(f"FAIL: malformed witness file: {key} "), (key, value, err)
+
+
+@pytest.mark.parametrize("coefficient", ["1e100000000", "0.5", " 1", "1_0", "+1"])
+def test_witness_verify_refuses_a_coefficient_it_never_writes(
+    capsys, tmp_path, monkeypatch, coefficient
+):
+    # a coefficient must read as str(Fraction) writes it; anything else is
+    # malformed before it is parsed (Fraction("1e100000000") alone takes
+    # seconds)
+    payload = _emitted_payload(capsys, tmp_path)
+    payload["lattice_coefficients"][1]["coefficient"] = coefficient
+    parsed = _record_parses(monkeypatch)
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "FAIL: malformed witness file: lattice_coefficients is not a list of "
+        "integer terms with rational coefficients\n"
+    )
+    assert coefficient not in parsed
+
+
+def test_witness_verify_parses_each_coefficient_once(capsys, tmp_path, monkeypatch):
+    payload = _emitted_payload(capsys, tmp_path)
+    parsed = _record_parses(monkeypatch)
+    code, out, _ = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert (code, out) == (0, "witness verifies\n")
+    terms = payload["lattice_coefficients"] + payload["monomials"]
+    assert sorted(parsed) == sorted(item["coefficient"] for item in terms)
+
+
+def test_witness_verify_refuses_a_coefficient_too_long_to_convert(capsys, tmp_path):
+    # 5000 digits pass the grammar; where int() refuses them the file is
+    # malformed, elsewhere the re-checks fail: exit 4 either way
+    payload = _emitted_payload(capsys, tmp_path)
+    payload["lattice_coefficients"][1]["coefficient"] = "1" * 5000
+    code, out, err = _verify_file(capsys, tmp_path, json.dumps(payload))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("FAIL: ")
 
 
 @pytest.mark.parametrize("key, value", [("order", 1), ("order", 2), ("e", 2), ("degree", 304)])

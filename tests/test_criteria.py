@@ -1,12 +1,17 @@
+import pytest
+
+import symrees.criteria
 from oracles import swapped_ab
 from symrees.criteria import GkClause, check_eu, check_gk
 from symrees.presentation import (
     CurveTriple,
+    InternalConsistencyError,
     compute_presentation,
     validate_assumptions,
     NotCoprimeError,
     NotThreeGeneratedError,
 )
+from symrees.witness import classify
 
 
 def pres(a, b, c):
@@ -56,8 +61,21 @@ def test_gk_five_worked_examples():
 
 def test_gk_forms_agree_on_validated_triples(validated_30):
     for p in validated_30:
-        report = check_gk(p, validated=True)
+        report = check_gk(p)
         assert report.holds == (report.five_way is not None), p.triple
+
+
+def test_classify_raises_when_the_gk_forms_disagree_on_a_validated_triple(monkeypatch):
+    # check_gk reports both forms and never raises; classify compares them,
+    # on a validated triple only: 25 29 72 is validated and 16 683 97 is
+    # not, and the defining form holds on both
+    monkeypatch.setattr(symrees.criteria, "_gk_five", lambda p, n, m: None)
+    report = check_gk(pres(25, 29, 72))
+    assert report.holds and report.five_way is None
+    with pytest.raises(InternalConsistencyError, match="GK forms disagree on"):
+        classify(CurveTriple(25, 29, 72))
+    inapplicable = classify(CurveTriple(16, 683, 97))
+    assert inapplicable.noetherian is None and inapplicable.gk.holds
 
 
 def test_eu_and_gk_never_both_hold(validated_30):

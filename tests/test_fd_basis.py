@@ -25,6 +25,7 @@ from oracles import (
     assert_lazy_echelon_matches_eager,
     dense_system_rows,
     derivative_orders,
+    enumerate_points,
     full_fd_columns,
     full_fd_decision,
     kept_points,
@@ -32,7 +33,7 @@ from oracles import (
     point_system_witness,
 )
 from symrees.criteria import check_eu, check_gk
-from symrees.lattice import _column_bounds, column_counts, count_points, enumerate_points
+from symrees.lattice import _column_bounds, column_counts
 from symrees.presentation import (
     CurveTriple,
     NotCoprimeError,
@@ -82,7 +83,7 @@ def test_fd_decision_matches_rank_deep_pool():
     for i, row in enumerate(rows):
         p = pres(row["a"], row["b"], row["c"])
         rank, forced = _fd_decision(p, column_counts(p), p.u)
-        assert count_points(p, 1) == row["points"], row
+        assert 1 + sum(column_counts(p)) == row["points"], row
         assert (row["points"] - rank, not forced) == (row["dim_piece_u"], row["noetherian"]), row
         assert (rank, forced) == full_fd_decision(p, 1, p.u), row
         if i % 8 == 0:
@@ -94,7 +95,7 @@ def test_fd_decision_matches_witness_extract_pool():
     assert len(rows) == 512
     for row in rows:
         p = pres(row["a"], row["b"], row["c"])
-        assert count_points(p, 1) == row["points"], row
+        assert 1 + sum(column_counts(p)) == row["points"], row
         decision = _fd_decision(p, column_counts(p), p.u)
         assert decision == point_system_decision(p, 1, p.u), row
         assert decision == full_fd_decision(p, 1, p.u), row
@@ -106,13 +107,13 @@ def test_fd_decision_matches_point_system_beyond_hypotheses():
     # presentation: every such triple up to 12, at scales 1 and 2 and every
     # order up to e*u + 1
     cases = 0
-    for a, b, c in iter_triples(ScanJob.upto(12)):
+    for a, b, c in iter_triples(ScanJob(12)):
         try:
             p = pres(a, b, c)
         except (NotCoprimeError, NotThreeGeneratedError):
             continue
         for e in (1, 2):
-            if count_points(p, e) > 300:
+            if 1 + sum(column_counts(p, e)) > 300:
                 continue
             for n in range(1, e * p.u + 2):
                 want = point_system_decision(p, e, n)
@@ -139,7 +140,7 @@ def test_fd_decision_matches_point_system_property(a, b, c, e, n_seed):
         p = pres(a, b, c)
     except NotThreeGeneratedError:
         assume(False)
-    assume(count_points(p, e) <= 300)
+    assume(1 + sum(column_counts(p, e)) <= 300)
     n = 1 + n_seed % (e * p.u + 1)
     decision = _fd_decision(p, column_counts(p, e), n)
     assert decision == point_system_decision(p, e, n), (p.triple, e, n)

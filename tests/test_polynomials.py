@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symrees.polynomials
 from oracles import curve_substitution_fraction
+from symrees.cli import main
 from symrees.polynomials import (
     FamilyRejectionError,
     HypothesisViolationError,
@@ -158,6 +160,21 @@ def test_product_gap():
     assert (len_product, len_symbolic, gap) == (241, 240, 1)
     assert len_product == min(29 * p.u1 + 16 * p.u2, 32 * p.u1 + 14 * p.u2)
     assert gap == min(p.u2 - p.u1, 2 * p.u1 - p.u2)
+
+
+def test_gap_mismatch_is_a_fail_line_not_an_exception(monkeypatch, capsys):
+    # check_product_power_gap only measures; the report clause checks the
+    # gap against min(u2 - u1, 2*u1 - u2) = 1, and a mismatch is a FAIL line
+    monkeypatch.setattr(symrees.polynomials, "check_product_power_gap", lambda p: (242, 240, 2))
+    checks = verify_family_report(family_16_683_97())
+    failed = [chk for chk in checks if not chk.ok]
+    assert [chk.label for chk in failed] == [
+        "order 2*3 product is strictly smaller than the order-5 power"
+    ]
+    assert failed[0].detail == "colengths 242 vs 240 (gap 2)"
+    assert main(["verify-family", "--alpha", "6/5", "--beta", "49/24"]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] order 2*3 product is strictly smaller" in out and "conclusion" not in out
 
 
 def test_generate_family_example_values():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import symrees.polynomials
 import symrees.presentation
 from oracles import all_representations, representable
-from symrees import criteria, witness
+from symrees import witness
 from symrees.cli import main
 from symrees.presentation import (
     CurveTriple,
@@ -14,7 +15,7 @@ from symrees.presentation import (
     NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
-    negative_curve_condition,
+    is_negative_curve,
     validate_assumptions,
     _minimal_multiple,
 )
@@ -52,7 +53,7 @@ def minimal_multiple_by_scan(w, p, q):
 
 
 def test_minimal_multiple_matches_per_k_search():
-    for a, b, c in iter_triples(ScanJob.upto(60)):
+    for a, b, c in iter_triples(ScanJob(60)):
         for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
             assert _minimal_multiple(w, p, q) == minimal_multiple_by_scan(w, p, q), (w, p, q)
 
@@ -61,7 +62,7 @@ def test_presentation_is_the_minimal_j_witnesses_up_to_60():
     # not three-generated exactly when some minimal multiple is 1; otherwise
     # the nine exponents are the per-k minimal-j witnesses, with no search
     three_generated = 0
-    for a, b, c in iter_triples(ScanJob.upto(60)):
+    for a, b, c in iter_triples(ScanJob(60)):
         (s, (t1, u1)), (t, (s2, u2)), (u, (s3, t3)) = (
             minimal_multiple_by_scan(a, b, c),
             minimal_multiple_by_scan(b, a, c),
@@ -107,7 +108,6 @@ def test_generator_exponents_are_the_unique_bounded_representations(a, b, c):
 
 
 def test_inconsistent_witness_is_an_internal_error(monkeypatch, capsys):
-    assert criteria.InternalConsistencyError is InternalConsistencyError
     assert witness.InternalConsistencyError is InternalConsistencyError
     real = _minimal_multiple
 
@@ -202,11 +202,12 @@ def test_assumption_iii_fails_for_order_two_family_triple():
     assert report.pairwise_coprime and report.three_generated
     assert not report.negative_curve_iii  # 11^2 * 97 = 11737 > 16 * 683 = 10928
     assert not report.all_hold
-    assert not negative_curve_condition(pres)
+    assert not is_negative_curve(pres.deg_h, 1, (pres.a, pres.b, pres.c))
 
 
 def test_negative_curve_condition_is_exact_integer_comparison():
     pres = compute_presentation(CurveTriple(8, 19, 9))
     assert pres.u**2 * pres.c == 81
     assert pres.a * pres.b == 152
-    assert negative_curve_condition(pres)
+    assert is_negative_curve(pres.deg_h, 1, (pres.a, pres.b, pres.c))
+    assert symrees.polynomials.is_negative_curve is is_negative_curve  # written once

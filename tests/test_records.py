@@ -11,7 +11,7 @@ from symrees.scan import ScanJob, run_scan
 @pytest.fixture(scope="module")
 def table_20():
     # every record of the bound-20 table, with a distinct timing each
-    records = list(run_scan(ScanJob.upto(20)))
+    records = list(run_scan(ScanJob(20)))
     return [replace(r, timing_ms=i / 8) for i, r in enumerate(records)]
 
 

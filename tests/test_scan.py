@@ -13,7 +13,7 @@ SCAN_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sca
 
 
 def test_iter_triples_lexicographic_and_coprime():
-    triples = list(iter_triples(ScanJob.upto(6)))
+    triples = list(iter_triples(ScanJob(6)))
     assert triples == sorted(triples)
     assert all(
         math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1 for a, b, c in triples
@@ -24,26 +24,26 @@ def test_iter_triples_lexicographic_and_coprime():
 
 def test_scan_job_validation():
     with pytest.raises(ValueError):
-        ScanJob.upto(2)
+        ScanJob(2)
     with pytest.raises(ValueError):
-        ScanJob.upto(5, jobs=0)
+        ScanJob(5, jobs=0)
 
 
 def test_parallel_scan_matches_sequential():
-    seq = list(run_scan(ScanJob.upto(10)))
-    par = list(run_scan(ScanJob.upto(10, jobs=2)))
+    seq = list(run_scan(ScanJob(10)))
+    par = list(run_scan(ScanJob(10, jobs=2)))
     assert seq == par
 
 
 def test_filters():
-    records = list(run_scan(ScanJob.upto(12, require_assumptions=True)))
+    records = list(run_scan(ScanJob(12, require_assumptions=True)))
     assert records and all(r.assumptions["all_hold"] for r in records)
-    records = list(run_scan(ScanJob.upto(12, u_max=3)))
+    records = list(run_scan(ScanJob(12, u_max=3)))
     assert records and all(r.presentation["u"] <= 3 for r in records)
 
 
 def test_scan_includes_inapplicable_rows_by_default():
-    records = list(run_scan(ScanJob.upto(8)))
+    records = list(run_scan(ScanJob(8)))
     reasons = {r.reason for r in records if r.noetherian is None}
     assert any(reasons)
 
@@ -61,7 +61,7 @@ def test_scan_bytes_match_recorded_digest(jobs):
     recorded = json.loads(SCAN_DIGESTS.read_text())["bounds"]["12"]
     digest = hashlib.sha256()
     size = 0
-    for record in run_scan(ScanJob.upto(12, jobs=jobs)):
+    for record in run_scan(ScanJob(12, jobs=jobs)):
         line = (json.dumps(to_dict(record, with_timing=False)) + "\n").encode()
         digest.update(line)
         size += len(line)

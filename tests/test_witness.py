@@ -11,6 +11,7 @@ from oracles import (
     assert_lazy_echelon_matches_eager,
     build_matrix,
     derivative_orders,
+    enumerate_points,
     integerized,
     mul_vector,
     rref_null_space,
@@ -18,7 +19,8 @@ from oracles import (
     shift_membership_fraction,
     witness_system,
 )
-from symrees.lattice import LatticePoint, enumerate_points
+from symrees import cli
+from symrees.lattice import LatticePoint
 from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, InternalConsistencyError, compute_presentation
 from symrees.scan import ScanJob, iter_triples
@@ -378,7 +380,8 @@ def test_one_column_sweep_per_verdict_and_per_piece(monkeypatch):
     # groups and the finite-difference system, and piece_dimension reads one
     # profile for its early exit, its point count and its system, so each
     # call walks the column bounds once: decided, with or without a
-    # witness, through the fallback's decision, or inapplicable
+    # witness, through the fallback's decision, or inapplicable; so does
+    # `symrees piece-dim`, which prints the point count and the dimension
     p = pres(40, 57, 11)
     calls = Counter()
     sweep = counting(calls, "sweeps", symrees.lattice._column_bounds)
@@ -390,12 +393,13 @@ def test_one_column_sweep_per_verdict_and_per_piece(monkeypatch):
         lambda: classify(CurveTriple(17, 503, 169), want_witness=True).noetherian,
         lambda: classify(CurveTriple(16, 683, 97)).noetherian,
         lambda: piece_dimension(p, 2, 28),
+        lambda: cli.main(["piece-dim", "40", "57", "11", "--e", "2", "--n", "28"]),
     ]
     got = []
     for run in runs:
         calls.clear()
         got.append((run(), calls["sweeps"]))
-    assert got == [(True, 1), (True, 1), (False, 1), (None, 1), (19, 1)]
+    assert got == [(True, 1), (True, 1), (False, 1), (None, 1), (19, 1), (0, 1)]
 
 
 def test_classify_back_substitutes_the_witness_without_elimination(monkeypatch, validated_30):
@@ -502,7 +506,7 @@ def test_verdict_invariant_under_ab_swap():
     # and the degree-ab piece cannot change; the presentation and the EU and
     # GK reports may differ in content
     verdicts = {}
-    for triple in iter_triples(ScanJob.upto(30)):
+    for triple in iter_triples(ScanJob(30)):
         verdict = classify(CurveTriple(*triple))
         if verdict.presentation is not None:  # three-generated
             verdicts[triple] = verdict

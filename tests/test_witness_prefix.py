@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 import symrees.witness
 from oracles import (
     beta_range,
+    enumerate_points,
     kept_points,
     point_system_witness,
     prefix_points,
@@ -39,7 +40,7 @@ from oracles import (
     vertices,
 )
 from symrees.criteria import check_eu
-from symrees.lattice import DeltaRegion, column_counts, column_top, count_points, enumerate_points
+from symrees.lattice import DeltaRegion, column_counts, column_top
 from symrees.presentation import (
     CurveTriple,
     NotCoprimeError,
@@ -174,8 +175,8 @@ def test_prefix_witness_matches_point_system_property(a, b, c):
         p = pres(a, b, c)
     except NotThreeGeneratedError:
         assume(False)
-    assume(p.u <= 16 and count_points(p, 1) <= 400)
-    got = (count_points(p, 1), *_witness_test(p, column_counts(p), want_witness=True))
+    assume(p.u <= 16 and 1 + sum(column_counts(p)) <= 400)
+    got = (1 + sum(column_counts(p)), *_witness_test(p, column_counts(p), want_witness=True))
     assert_same_witness(got, point_system_witness(p), p.triple)
 
 
@@ -323,7 +324,7 @@ def test_enumerate_points_depth_keeps_each_column_top(validated_30):
 
 def test_contains_matches_rational_description(validated_30):
     # every point of a box around e*D, against beta_range's exact fractions;
-    # the members of each region are its count_points, read from the column bounds
+    # the members of each region are its point count, read from the column profile
     members = Counter()
     for p in validated_30:
         for e in (1, 2, 3):
@@ -338,7 +339,7 @@ def test_contains_matches_rational_description(validated_30):
                     want = inside_columns and lo <= beta <= hi
                     assert region.contains(alpha, beta) == want, (p.triple, e, alpha, beta)
                     members[want] += 1
-            assert members[True] - before == count_points(p, e) > 0, (p.triple, e)
+            assert members[True] - before == 1 + sum(column_counts(p, e)) > 0, (p.triple, e)
     assert members[False] > members[True] > 100000
 
 
