@@ -57,11 +57,27 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(3)
 
 
-def _fraction(text: str) -> Fraction:
+_COEFFICIENT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str(Fraction)
+
+
+def _rational(text) -> Fraction | None:
+    """``text`` as a Fraction if it is an integer or P/Q as str(Fraction) writes it, else None.
+
+    An exponent form such as "1e100000000", which takes Fraction seconds, is refused unparsed.
+    """
+    if not (isinstance(text, str) and _COEFFICIENT.fullmatch(text)):
+        return None
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _fraction(text: str) -> Fraction:
+    value = _rational(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an integer or P/Q: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,24 +205,19 @@ def _witness_payload(verdict) -> dict:
 
 
 _TERM_FIELDS = {"lattice_coefficients": ("alpha", "beta"), "monomials": ("x", "y", "z")}
-_COEFFICIENT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str(Fraction)
 
 
 def _term(item, fields) -> tuple[tuple[int, ...], Fraction] | None:
     """(integer ``fields``, coefficient) of a term as ``_witness_payload`` writes it, or None.
 
-    The coefficient is parsed once, and only in the form str(Fraction) writes:
-    an exponent form such as "1e100000000", which takes Fraction seconds, is refused unparsed.
+    The coefficient is parsed once, by ``_rational``.
     """
     if not isinstance(item, dict) or any(type(item.get(name)) is not int for name in fields):
         return None
-    text = item.get("coefficient")
-    if not (isinstance(text, str) and _COEFFICIENT.fullmatch(text)):
+    coefficient = _rational(item.get("coefficient"))
+    if coefficient is None:
         return None
-    try:
-        return tuple(item[name] for name in fields), Fraction(text)
-    except ValueError:  # more digits than int() converts
-        return None
+    return tuple(item[name] for name in fields), coefficient
 
 
 def _payload_problem(payload) -> tuple[str | None, dict]:

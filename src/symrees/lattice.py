@@ -37,14 +37,13 @@ class LatticePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class DeltaRegion:
-    """Scaled triangle e*D for one presentation, with exact boundary data."""
+    """Scaled triangle e*D for one presentation, with exact boundary data.
+
+    The scale e >= 1 is checked once, where points are counted: ``column_counts``.
+    """
 
     presentation: HerzogPresentation
     e: int
-
-    def __post_init__(self) -> None:
-        if self.e < 1:
-            raise ValueError("scale e must be >= 1")
 
     def contains(self, alpha: int, beta: int) -> bool:
         """Is (alpha, beta) an integer point of e*D?  Integer arithmetic only.

@@ -13,7 +13,8 @@ negative-curve inequality u^2 c < ab, written once, in ``is_negative_curve``.
 
 The presentation is built in one step from the minimal-j witnesses of
 ``_minimal_multiple``; ``compute_presentation`` proves that they are the
-exponents.  Nothing is searched.
+exponents.  Nothing is searched: each least multiple is the least
+denominator of a fraction in an interval, found in O(log) divisions.
 """
 
 from __future__ import annotations
@@ -55,22 +56,53 @@ class CurveTriple:
 def _minimal_multiple(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
     """Least k >= 1 with k*w in N0*p + N0*q, plus the minimal-j witness.
 
-    The witness (i, j) solves k*w = i*p + j*q with the least j >= 0, which
-    is k*w*q^{-1} mod p, advanced here by one addition per k.  For a
+    The witness (i, j) solves k*w = i*p + j*q with the least j >= 0.  For a
     three-generated triple it is the pair of exponents of the generator of
     degree k*w (see ``compute_presentation``).  Requires gcd(p, q) = 1.
+
+    Found in O(log p) steps.  Let step = w*q^{-1} mod p, so that
+    q*step = w (mod p) and h0 = (q*step - w)/p is an integer.  The least
+    j >= 0 with k*w = j*q (mod p) is j = k*step - p*h, h = floor(k*step/p),
+    and k*w is in N0*p + N0*q exactly when j*q <= k*w, that is, when
+    k*(q*step - w) <= p*q*h, or h/k >= h0/q.  Since h is the largest integer
+    with h/k <= step/p, k works exactly when the interval [h0/q, step/p]
+    (nonempty: q*step - w < q*step) holds a fraction with denominator k.
+    ``_least_denominator`` returns the least such k.  The witness is then
+    j = k*step mod p and i = (k*w - j*q)/p, the same pair as one addition
+    of step per k would reach.  For p = 1, step = 0 and h0 = -w < 0, so
+    k = 1 and (i, j) = (w, 0).
     """
-    # every integer beyond the Frobenius bound pq - p - q is representable
-    cap = max(1, (p * q - p - q) // w + 1)
-    step = (w * pow(q, -1, p)) % p if p > 1 else 0
-    j = 0
-    for k in range(1, cap + 1):
-        j += step
-        if j >= p:
-            j -= p
-        if j * q <= k * w:
-            return k, ((k * w - j * q) // p, j)
-    raise AssertionError(f"no multiple of {w} representable by ({p}, {q})")
+    step = (w * pow(q, -1, p)) % p  # 0 when p = 1
+    k = _least_denominator((q * step - w) // p, q, step, p)
+    j = k * step % p
+    return k, ((k * w - j * q) // p, j)
+
+
+def _least_denominator(a: int, b: int, c: int, d: int) -> int:
+    """Least k >= 1 such that [a/b, c/d] holds some h/k; b, d > 0 and a/b <= c/d.
+
+    Continued-fraction (Stern-Brocot) descent.  If an integer lies in the
+    interval, k = 1.  Otherwise both ends lie in (f, f + 1), f = floor(a/b),
+    and h/k (in lowest terms) lies in the interval exactly when k/(h - f*k)
+    (in lowest terms) lies in [d/(c - f*d), b/(a - f*b)], a subset of
+    (1, oo); so the least k is the least numerator there.  On a positive
+    interval the fraction of least depth in the Stern-Brocot tree is
+    unique and is an ancestor of every other fraction there (the common
+    ancestor of two fractions lies between them), so it has both the least
+    numerator and the least denominator; when the interval holds integers
+    it is the least of them, ceil(a/b).  The descent finds it by the same
+    step and keeps the denominators (k1, k0) of the composed map
+    z -> f + 1/z, as the convergents of a continued fraction do: each step
+    costs one division, and the ends shrink as in Euclid's algorithm.
+    """
+    k1, k0 = 0, 1  # the current value z has denominator k1*z + k0 at an integer z
+    while True:
+        g = -(-a // b)  # ceil(a/b)
+        if g * d <= c:
+            return k1 * g + k0
+        f = g - 1  # a/b is no integer
+        k1, k0 = k1 * f + k0, k1
+        a, b, c, d = d, c - f * d, b, a - f * b
 
 
 @dataclass(frozen=True)

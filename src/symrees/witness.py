@@ -240,8 +240,8 @@ def piece_dimension(p: HerzogPresentation, e: int, n: int) -> int:
 
 def _points_and_dimension(p: HerzogPresentation, e: int, n: int) -> tuple[int, int]:
     """(lattice points of e*D, ``piece_dimension``), both from one ``column_counts``."""
-    if e < 1 or n < 0:
-        raise ValueError("need e >= 1 and n >= 0")
+    if n < 0:  # e < 1 is refused by column_counts
+        raise ValueError("need n >= 0")
     lengths = column_counts(p, e)
     points = 1 + sum(lengths)  # column 0 holds only (0, 0)
     if n >= sum(map(bool, lengths)) + max(lengths):  # k + L - 1, k counting column 0

@@ -646,8 +646,8 @@ def representable(M: int, p: int, q: int) -> tuple[int, int] | None:
     """Minimal-j solution of M = i*p + j*q with i, j >= 0, or None.
 
     The smallest admissible j is M * q^{-1} mod p, computed directly for
-    each M; the oracle of ``presentation._minimal_multiple``, which advances
-    the same j by one addition per multiple.  Requires gcd(p, q) = 1.
+    each M; one oracle of ``presentation._minimal_multiple``, tried on each
+    multiple in turn.  Requires gcd(p, q) = 1.
     """
     if M < 1 or p < 1 or q < 1:
         raise ValueError("arguments must be positive")
@@ -655,6 +655,28 @@ def representable(M: int, p: int, q: int) -> tuple[int, int] | None:
     if j * q > M:
         return None
     return (M - j * q) // p, j
+
+
+def minimal_multiple_by_steps(w: int, p: int, q: int) -> tuple[int, tuple[int, int]]:
+    """Least k >= 1 with k*w in N0*p + N0*q and its minimal-j witness, in O(k) steps.
+
+    The search ``presentation._minimal_multiple`` made before its
+    continued-fraction descent, kept as a second oracle: the least j with
+    k*w = j*q (mod p) advances by w*q^{-1} mod p per k, one addition each,
+    and the first k with j*q <= k*w is the answer.  Every integer beyond the
+    Frobenius number p*q - p - q is representable, which caps k.  Requires
+    gcd(p, q) = 1.
+    """
+    cap = max(1, (p * q - p - q) // w + 1)
+    step = (w * pow(q, -1, p)) % p if p > 1 else 0
+    j = 0
+    for k in range(1, cap + 1):
+        j += step
+        if j >= p:
+            j -= p
+        if j * q <= k * w:
+            return k, ((k * w - j * q) // p, j)
+    raise AssertionError(f"no multiple of {w} representable by ({p}, {q})")
 
 
 def slopes(region) -> tuple[Fraction, Fraction, Fraction]:

@@ -405,6 +405,21 @@ def test_verify_family_rejects_bad_alpha(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e3000000", "1.2", "6/0", " 6/5", "+6/5", "1" * 5000])
+def test_verify_family_refuses_alpha_outside_the_documented_forms(capsys, monkeypatch, alpha):
+    # only an integer or P/Q, the grammar of witness-file coefficients: the
+    # exponent form, which Fraction would take seconds to expand, and an
+    # integer with more digits than int() converts are usage errors, unparsed
+    # or refused by the conversion limit, before any family is built
+    parsed = _record_parses(monkeypatch)
+    monkeypatch.setattr("symrees.cli.generate_family", None)  # never reached
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-family", "--alpha", alpha, "--beta", "49/24"])
+    assert exc.value.code == 3
+    assert "--alpha: not an integer or P/Q" in capsys.readouterr().err
+    assert "1e3000000" not in parsed
+
+
 def test_record_json_round_trip():
     record = from_verdict(classify(CurveTriple(8, 19, 9)), timing_ms=1.25)
     data = json.loads(json.dumps(to_dict(record)))

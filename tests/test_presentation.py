@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import count, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 import symrees.polynomials
 import symrees.presentation
-from oracles import all_representations, representable
+from oracles import all_representations, minimal_multiple_by_steps, representable
 from symrees import witness
 from symrees.cli import main
 from symrees.presentation import (
@@ -17,6 +19,7 @@ from symrees.presentation import (
     compute_presentation,
     is_negative_curve,
     validate_assumptions,
+    _least_denominator,
     _minimal_multiple,
 )
 from symrees.scan import ScanJob, iter_triples
@@ -56,6 +59,38 @@ def test_minimal_multiple_matches_per_k_search():
     for a, b, c in iter_triples(ScanJob(60)):
         for w, p, q in ((a, b, c), (b, a, c), (c, a, b)):
             assert _minimal_multiple(w, p, q) == minimal_multiple_by_scan(w, p, q), (w, p, q)
+
+
+def test_minimal_multiple_matches_the_one_addition_per_k_loop_on_a_seeded_sample():
+    # weights up to 20,000 with gcd(p, q) = 1 only, so w may share a factor with p
+    rng = random.Random(20)
+    checked = 0
+    while checked < 2000:
+        w, p, q = (rng.randint(1, 20000) for _ in range(3))
+        if math.gcd(p, q) != 1:
+            continue
+        assert _minimal_multiple(w, p, q) == minimal_multiple_by_steps(w, p, q), (w, p, q)
+        checked += 1
+
+
+def test_least_denominator_matches_a_search_over_k():
+    # every closed interval [a/b, c/d] with small ends, negative ones included:
+    # some h/k lies in it exactly when floor(c*k/d) >= a*k/b
+    for a, b, c, d in product(range(-7, 8), range(1, 8), range(-7, 8), range(1, 8)):
+        if a * d <= c * b:
+            least = next(k for k in count(1) if (c * k) // d * b >= a * k)
+            assert _least_denominator(a, b, c, d) == least, (a, b, c, d)
+
+
+def test_least_multiples_of_triples_with_a_huge_u():
+    # the descent takes O(log) steps where the one-addition-per-k loop took u
+    assert minimal_multiple_by_steps(7, 9999991, 10000003)[0] == 2857142
+    for triple, stu in [
+        ((99999995, 100000007, 7), (4, 2, 57142856)),
+        ((9999991, 10000003, 7), (4, 4, 2857142)),
+    ]:
+        p = compute_presentation(CurveTriple(*triple))
+        assert (p.s, p.t, p.u) == stu, triple
 
 
 def test_presentation_is_the_minimal_j_witnesses_up_to_60():

@@ -96,6 +96,13 @@ def test_piece_dimension_values():
     assert piece_dimension(q, 2, 6) == 1  # frozen exploratory value
 
 
+@pytest.mark.parametrize("e, n", [(0, 1), (-1, 1), (1, -1), (0, 0)])
+def test_piece_dimension_refuses_a_scale_or_order_out_of_range(e, n):
+    # e >= 1 is checked by lattice.column_counts alone, n >= 0 here
+    with pytest.raises(ValueError):
+        piece_dimension(pres(8, 19, 9), e, n)
+
+
 def test_piece_dimension_lower_bound(validated_30):
     for p in validated_30[::13]:
         n_points = len(enumerate_points(p, 1))
