@@ -9,7 +9,8 @@ back-substitution per free column).  A column lies in the span of the
 columns before it exactly when it is not a pivot, which is how the witness
 test reads its verdict.  Its work follows the nonzero entries: a row is
 touched only where it has an entry in the pivot column (rows wait in buckets
-by leading column), and rows are rescaled lazily, so its output is that of
+by leading column), and rows are rescaled lazily; under its pivot rule
+(smallest true magnitude, lowest input row on ties) its output is that of
 the eagerly rescaled kernel that the tests keep as an oracle.
 The pivot columns of any echelon form are those of the unique reduced row
 echelon form, so the kernel basis read here is the canonical one.
@@ -26,9 +27,10 @@ class Echelon:
     """A fraction-free row echelon form U of a matrix, with its pivot columns.
 
     ``rows`` are the nonzero rows of U: integer rows spanning the row space
-    of the input, row k zero before column ``pivots[k]``.  The pivot columns
-    of any echelon form are those of the reduced row echelon form (RREF), so
-    rank and free columns are read off here.
+    of the input, row k zero before column ``pivots[k]``, in the order the
+    pivots were chosen (smallest true magnitude, lowest input row on ties).
+    The pivot columns of any echelon form are those of the reduced row
+    echelon form (RREF), so rank and free columns are read off here.
     """
 
     rows: list[list[int]]
@@ -69,17 +71,16 @@ def _echelon(rows: list[list[int]], ncols: int) -> Echelon:
     """Bareiss fraction-free elimination of integer rows to an Echelon.
 
     Takes ownership of ``rows``: they are reduced in place.  Pivot: the
-    smallest nonzero magnitude in the column, the first row winning ties.
+    smallest nonzero true magnitude in the column, the lowest input row
+    index winning ties; rows are never swapped.
     Entries stay integral: the Bareiss update is (p*a - q*b) // prev_pivot
     with exact division (the entries are minors of the input matrix).
 
     Only nonzero entries cost work.  The rows not yet pivoted are kept in
     buckets by their leading (first nonzero) column, so the rows with an
     entry in column col are exactly ``bucket[col]`` and a free column costs
-    O(1).  "First row" means first in the row order of the eager kernel,
-    where each pivot row is swapped with the row at the current rank; the
-    position of every row is tracked through those swaps.  A reduced row
-    moves to the bucket of its new leading column, or is dropped when zero.
+    O(1).  A reduced row moves to the bucket of its new leading column, or
+    is dropped when zero.
 
     Row scaling is lazy.  A row whose pivot-column entry is zero would only
     be multiplied by p / prev, so it is left as stored, together with the
@@ -91,17 +92,15 @@ def _echelon(rows: list[list[int]], ncols: int) -> Echelon:
     the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  The pivots of the
     witness systems are mostly +-1, so this holds for most updates.  Every
     division is exact: the eager kernel divides exactly on the columns >=
-    col.  So rows and pivots are those of the eager kernel.
+    col.  So rows and pivots are those of the eager kernel under the same
+    pivot rule.
     """
-    nrows = len(rows)
-    divs = [1] * nrows
+    divs = [1] * len(rows)
     buckets: list[list[int]] = [[] for _ in range(ncols)]
     for idx, row in enumerate(rows):
         lead = next(compress(count(), row), None)
         if lead is not None:
             buckets[lead].append(idx)
-    at = list(range(nrows))  # at[k]: the row at position k of the eager order
-    pos = list(range(nrows))  # pos[idx]: the position of row idx
     reduced: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
@@ -113,12 +112,8 @@ def _echelon(rows: list[list[int]], ncols: int) -> Echelon:
             pick = bucket[0]
             others = ()
         else:
-            # pivot: smallest true magnitude, earliest position on ties
-            pick = min(bucket, key=lambda idx: (abs(rows[idx][col] * prev // divs[idx]), pos[idx]))
+            pick = min(bucket, key=lambda idx: (abs(rows[idx][col] * prev // divs[idx]), idx))
             others = [idx for idx in bucket if idx != pick]
-        rank = len(pivots)
-        other, spot = at[rank], pos[pick]
-        at[spot], pos[other] = other, spot
         pr = rows[pick]
         d = divs[pick]
         if d != prev:

@@ -393,31 +393,27 @@ def eager_echelon(rows, ncols: int) -> Echelon:
     """Bareiss elimination that rescales every row at every step.
 
     Same pivot rule as ``symrees.linalg._echelon`` (smallest nonzero
-    magnitude, first row on ties): a row with a zero in the pivot column is
-    multiplied by p / prev at once instead of being left for later.  Works
-    on copies of its arguments.
+    magnitude, earliest input row on ties): the rows not yet pivoted stay in
+    input order and no row is swapped, and a row with a zero in the pivot
+    column is multiplied by p / prev at once instead of being left for
+    later.  Works on copies of its arguments.
     """
     rows = [list(row) for row in rows]
+    waiting = list(range(len(rows)))  # input indices of the rows not yet pivoted
+    reduced: list[list[int]] = []
     pivots: list[int] = []
     prev = 1
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot_at = -1
-        best = None
-        for idx in range(rank, len(rows)):
-            v = rows[idx][col]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                pivot_at = idx
-        if pivot_at < 0:
-            col += 1
+    for col in range(ncols):
+        candidates = [(abs(rows[idx][col]), idx) for idx in waiting if rows[idx][col]]
+        if not candidates:
             continue
-        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
-        pr = rows[rank]
+        _, pick = min(candidates)
+        waiting.remove(pick)
+        pr = rows[pick]
         p = pr[col]
         pr_tail = pr[col:]
-        for ri in rows[rank + 1:]:
+        for idx in waiting:
+            ri = rows[idx]
             q = ri[col]
             if q == 0:
                 if p != prev:
@@ -427,10 +423,9 @@ def eager_echelon(rows, ncols: int) -> Echelon:
             else:
                 ri[col:] = [(p * x - q * y) // prev for x, y in zip(ri[col:], pr_tail)]
         prev = p
+        reduced.append(pr)
         pivots.append(col)
-        rank += 1
-        col += 1
-    return Echelon(rows=rows[:rank], pivots=pivots, cols=ncols)
+    return Echelon(rows=reduced, pivots=pivots, cols=ncols)
 
 
 def assert_lazy_echelon_matches_eager(rows, ncols):

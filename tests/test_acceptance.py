@@ -7,8 +7,14 @@ All tolerances are exact equalities; the time budgets are the stated ones.
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
+
+from symrees import witness
+from symrees.criteria import GkClause
 from symrees.lattice import LatticePoint
+from symrees.linalg import _echelon
 from symrees.polynomials import (
     build_generators,
     build_xi,
@@ -109,6 +115,7 @@ def test_criterion_5_property_scan_to_60():
     records = list(run_scan(ScanJob(60, require_assumptions=True, jobs=2)))
     by_triple = {r.triple: r for r in records}
     violations = []
+    cutkosky = 0
     for r in records:
         eu, gk, we = r.eu["holds"], r.gk["holds"], r.witness_exists
         if eu and not we:
@@ -128,12 +135,20 @@ def test_criterion_5_property_scan_to_60():
             violations.append((r.triple, "swap partner missing"))
         elif swapped.noetherian != r.noetherian:
             violations.append((r.triple, "verdict changes under a<->b swap"))
+        # Cutkosky (J. reine angew. Math. 416, 1991): (a+b+c)^2 > abc gives
+        # a Noetherian R_s(p)
+        if (a + b + c) ** 2 > a * b * c:
+            cutkosky += 1
+            if not r.noetherian:
+                violations.append((r.triple, "Cutkosky's bound holds but not Noetherian"))
     elapsed = time.perf_counter() - start
     assert not violations, violations[:10]
+    assert (len(records), cutkosky) == (12274, 566)
     assert elapsed < 300.0
     print(
         f"\nACCEPTANCE 5: PASS - {len(records)} validated triples up to 60, "
-        f"zero violations of the five properties ({elapsed:.1f} s)"
+        f"zero violations of the five properties and of Cutkosky's bound "
+        f"({cutkosky} triples) ({elapsed:.1f} s)"
     )
 
 
@@ -199,4 +214,62 @@ def test_criterion_8_family_triple_gets_no_verdict():
     print(
         "\nACCEPTANCE 8: PASS - (16,683,97) reported inapplicable by the "
         "classifier; family checks carry the conclusion"
+    )
+
+
+@pytest.mark.parametrize(
+    "triple, points, dim, echelon",
+    [
+        # (rank, last pivot, columns, largest echelon entry in bits)
+        ((1969, 2492, 1713), 1435, 9, (1373, 1381, 1382, 1025)),
+        ((1999, 2915, 2656), 1099, 64, (861, 906, 907, 2406)),
+    ],
+)
+def test_criterion_9_large_residual_systems(monkeypatch, triple, points, dim, echelon):
+    # neither EU nor GK holds, so one elimination alone decides; the
+    # smallest-magnitude pivot keeps its entries to the pinned sizes
+    shapes = []
+
+    def spy(rows, ncols):
+        reduced = _echelon(rows, ncols)
+        bits = max(abs(x).bit_length() for row in reduced.rows for x in row)
+        shapes.append((reduced.rank, reduced.pivots[-1], ncols, bits))
+        return reduced
+
+    monkeypatch.setattr(witness, "_echelon", spy)
+    verdict, elapsed = _timed(lambda: classify(CurveTriple(*triple)))
+    assert verdict.eu.holds is False and verdict.gk.holds is False
+    assert verdict.witness_exists is False and verdict.noetherian is False
+    assert (verdict.points, verdict.dim_piece_u) == (points, dim)
+    assert shapes == [echelon]
+    assert elapsed < 30.0
+    print(
+        f"\nACCEPTANCE 9: PASS - {triple} not Noetherian by elimination alone, "
+        f"{points} points, rank {echelon[0]}, entries up to {echelon[3]} bits "
+        f"({elapsed*1000:.0f} ms)"
+    )
+
+
+def test_criterion_10_goto_nishida_watanabe_family():
+    # Goto-Nishida-Watanabe (Proc. AMS 120, 1994): for 3 not dividing n >= 4,
+    # R_s(p) of (7n-3, (5n-2)n, 8n-3) is not Noetherian.  Exactly the order
+    # with c = (5n-2)n and its a<->b swap meet the paper's hypotheses, and GK3
+    # decides both; n = 2 is refused in every order
+    checked = 0
+    for n in [2] + [n for n in range(4, 41) if n % 3]:
+        a, b, c = 7 * n - 3, 8 * n - 3, (5 * n - 2) * n
+        validated = {}
+        for order in set(permutations((a, b, c))):
+            verdict = classify(CurveTriple(*order))
+            if verdict.noetherian is not None:
+                validated[order] = verdict
+        assert set(validated) == (set() if n == 2 else {(a, b, c), (b, a, c)}), n
+        for verdict in validated.values():
+            assert verdict.presentation.u == 3, verdict.triple
+            assert verdict.gk.five_way is GkClause.GK3, verdict.triple
+            assert verdict.noetherian is False, verdict.triple
+            checked += 1
+    print(
+        f"\nACCEPTANCE 10: PASS - Goto-Nishida-Watanabe family for n <= 40: "
+        f"{checked} validated orders, each GK3 with u = 3 and not Noetherian"
     )

@@ -133,6 +133,24 @@ def test_scan_csv_columns(capsys, tmp_path):
     assert len(lines) > 1
 
 
+SCAN_12_CSV_SHA256 = "a0a7bf5f771a37cde8d7bd6027a589976548d1b1dbabd5d2c327f55afa84be65"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_csv_bytes_are_pinned(capsys, tmp_path, jobs):
+    # the bound-12 CSV table: 509 lines ending in \r\n, the same bytes
+    # through stdout and through --out, whatever the job count
+    argv = ["scan", "--max", "12", "--format", "csv", "--jobs", jobs]
+    stdout = subprocess.run(
+        [sys.executable, "-m", "symrees", *argv], capture_output=True, check=True
+    ).stdout
+    out_file = tmp_path / "scan.csv"
+    assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
+    for data in (stdout, out_file.read_bytes()):
+        assert (len(data), data.count(b"\r\n"), data.count(b"\n")) == (16070, 509, 509)
+        assert hashlib.sha256(data).hexdigest() == SCAN_12_CSV_SHA256
+
+
 def test_scan_deterministic_across_parallelism(capsys, tmp_path):
     f1, f2 = tmp_path / "scan1.jsonl", tmp_path / "scan2.jsonl"
     run_cli(capsys, "scan", "--max", "12", "--out", str(f1))

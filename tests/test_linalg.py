@@ -15,6 +15,7 @@ from oracles import (
     rref,
     rref_null_space,
 )
+from symrees.linalg import _echelon
 
 
 def test_falling_factorial_base_cases():
@@ -166,7 +167,7 @@ def test_appending_spanned_row_keeps_rank(rows):
 def _sparse_matrices(zero_frac):
     # sparse rows give runs of zeros in the pivot column, which is where the
     # lazy kernel skips rows; zero rows and ties in magnitude exercise the
-    # row positions tracked through the swaps
+    # pivot rule's tie break on the input row index
     rng = random.Random(24007 + int(100 * zero_frac))
 
     def row(cols):
@@ -181,6 +182,15 @@ def _sparse_matrices(zero_frac):
 def test_lazy_echelon_matches_eager_oracle(zero_frac):
     for rows, ncols in _sparse_matrices(zero_frac):
         assert_lazy_echelon_matches_eager(rows, ncols)
+
+
+def test_pivot_ties_go_to_the_earliest_input_row():
+    # column 1 ties between input rows 0 and 1 (true entries 1 and -1 after
+    # the pivot -1 of row 2); row 0 wins, although an eager kernel that swaps
+    # row 2 to the top would have moved row 1 ahead of it
+    reduced = _echelon([[0, -1], [0, 1], [-1, 0]], 2)
+    assert (reduced.rows, reduced.pivots) == ([[-1, 0], [0, 1]], [0, 1])
+    assert_lazy_echelon_matches_eager([[0, -1], [0, 1], [-1, 0]], 2)
 
 
 def last_column_is_pivot(rows):
