@@ -29,8 +29,6 @@ from .witness import (  # noqa: F401
     Verdict,
     WitnessElement,
     classify,
-    extract_witness,
-    huneke_witness_exists,
     piece_dimension,
     shift_membership_test,
 )

@@ -5,6 +5,8 @@ Exit codes for `classify`: 0 Noetherian, 1 not Noetherian, 2 inapplicable
 error.  `witness` uses the same codes: 0 witness emitted or verified, 1 no
 witness (not Noetherian), 2 inapplicable, 4 a witness file that fails a
 re-check, is for another triple or is not a well-formed witness payload.
+`witness --verify` exits 2, before any re-check, when the triple fails the
+hypotheses: there is then no verdict for a witness to certify.
 Every command exits 4 on an unexpected error (an exception none of the
 above covers, such as a failed exact division or running out of memory),
 with one `internal error: <type>: <message>` line on stderr, so that it is
@@ -34,13 +36,16 @@ from .polynomials import (
 )
 from .presentation import (
     CurveTriple,
+    HerzogPresentation,
     NotCoprimeError,
     NotThreeGeneratedError,
     compute_presentation,
+    validate_assumptions,
 )
 from .records import CSV_COLUMNS, csv_row, from_verdict, human_table, to_dict
 from .scan import ScanJob, run_scan
 from .witness import (
+    NOT_NEGATIVE_CURVE,
     InternalConsistencyError,
     _points_and_dimension,
     classify,
@@ -245,18 +250,16 @@ def _payload_problem(payload) -> tuple[str | None, dict]:
     return None, terms
 
 
-def _reverify_witness(payload: dict, terms: dict) -> list[str]:
-    """Exact re-checks of an emitted witness; returns failure messages.
+def _reverify_witness(pres: HerzogPresentation, payload: dict, terms: dict) -> list[str]:
+    """Exact re-checks of a witness payload for ``pres``; returns failure messages.
 
     Only the degree-ab piece of the u-th symbolic power (e = 1, order u)
     certifies the verdict, so any other header is refused before the
-    re-checks run; a huge order would also make the shift test allocate
-    O(order) per term.  The nonzero monomials must be the expansion of the
+    re-checks run.  The nonzero monomials must be the expansion of the
     nonzero lattice terms, so the curve test checks the element that the
     lattice coefficients define, not some other polynomial of the degree.
     """
     a, b, c = payload["triple"]
-    pres = compute_presentation(CurveTriple(a, b, c))
     certificate = {"e": 1, "order": pres.u, "degree": a * b}
     problems = [
         f"{key} is {payload[key]}, not {want}"
@@ -301,7 +304,11 @@ def _cmd_witness(args) -> int:
         if tuple(payload["triple"]) != (args.a, args.b, args.c):
             print(f"witness file is for triple {payload['triple']}", file=sys.stderr)
             return 4
-        problems = _reverify_witness(payload, terms)
+        pres = compute_presentation(CurveTriple(args.a, args.b, args.c))
+        if not validate_assumptions(pres).all_hold:  # no verdict to certify
+            print(f"inapplicable: {NOT_NEGATIVE_CURVE}", file=sys.stderr)
+            return 2
+        problems = _reverify_witness(pres, payload, terms)
         if problems:
             for msg in problems:
                 print(f"FAIL: {msg}", file=sys.stderr)
@@ -318,7 +325,7 @@ def _cmd_witness(args) -> int:
         return 1
     payload = _witness_payload(verdict)
     problem, terms = _payload_problem(payload)
-    problems = [problem] if problem else _reverify_witness(payload, terms)
+    problems = [problem] if problem else _reverify_witness(verdict.presentation, payload, terms)
     if problems:  # would mean an extraction bug
         for msg in problems:
             print(f"internal error: {msg}", file=sys.stderr)

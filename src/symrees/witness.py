@@ -67,14 +67,6 @@ from .presentation import (
 )
 
 
-class AssumptionViolationError(RuntimeError):
-    """Witness test requested outside the validated hypotheses."""
-
-
-class NoWitnessError(RuntimeError):
-    """Witness extraction requested although none exists."""
-
-
 def _binom_table(values: set[int], n: int) -> dict[int, list[int]]:
     # binomials C(v, 0..n-1) for arbitrary integer v: ff(v, k) / k!
     table = {}
@@ -247,22 +239,6 @@ def _points_and_dimension(p: HerzogPresentation, e: int, n: int) -> tuple[int, i
     if n >= sum(map(bool, lengths)) + max(lengths):  # k + L - 1, k counting column 0
         return points, 0
     return points, points - _fd_decision(p, lengths, n)[0]
-
-
-def _applicable_verdict(p: HerzogPresentation, want_witness: bool) -> Verdict:
-    verdict = _verdict(p, want_witness)
-    if verdict.noetherian is INAPPLICABLE:
-        raise AssumptionViolationError(f"hypotheses fail for {p.triple}: {verdict.reason}")
-    return verdict
-
-
-def huneke_witness_exists(p: HerzogPresentation) -> bool:
-    """Does some element of the (e=1, n=u) kernel have nonzero (0,0) term?
-
-    Decided as ``classify`` decides it, from ``p``, with its hypothesis gate
-    and cross-checks.
-    """
-    return _applicable_verdict(p, want_witness=False).witness_exists
 
 
 @dataclass(frozen=True)
@@ -472,20 +448,6 @@ def _witness_test(p: HerzogPresentation, ell: tuple[int, ...], want_witness: boo
     return rank, witness is not None, witness
 
 
-def extract_witness(p: HerzogPresentation) -> WitnessElement:
-    """Deterministic witness with coefficient 1 at (0, 0).
-
-    Takes the first kernel basis vector (in the frozen free-column order)
-    with nonzero constant coordinate and rescales it.  Decided as
-    ``classify`` decides it, from ``p``, so a triple without a witness is
-    refused without building the point system.
-    """
-    witness = _applicable_verdict(p, want_witness=True).witness
-    if witness is None:
-        raise NoWitnessError(f"kernel of the witness system for {p.triple} forces the constant term")
-    return witness
-
-
 def shift_membership_test(coefficients: dict, n: int) -> bool:
     """Independent oracle for membership of phi in (v-1, w-1)^n.
 
@@ -499,12 +461,24 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     over the terms of abscissa alpha.  The A_alpha are built in place first;
     then each order i is summed in one pass over the columns, skipping those
     with alpha < i, whose weight C(alpha, i) is zero.
+
+    A nonzero phi with T terms is never a member once n >= T, so the work
+    is bounded by the terms, not by n.  Substitute v = x^p, w = x^q, with p
+    and q chosen so that the exponents e_k = p*alpha_k + q*beta_k of the
+    terms are distinct (q = 1 and p above the spread of the beta do).  Then
+    v-1 and w-1 are multiples of x-1, so a member of (v-1, w-1)^n maps to a
+    Laurent polynomial sum c_k x^(e_k) that vanishes to order n at x = 1,
+    and (x d/dx)^j of it, sum c_k e_k^j, is zero at 1 for j < n.  For
+    j < T that is a Vandermonde system in the nonzero c_k with distinct
+    nodes e_k, which has no nonzero solution.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     terms = [(int(al), int(be), c) for (al, be), c in coefficients.items() if c != 0]
     if not terms:
         return True
+    if n >= len(terms):
+        return False
     shift_a = max(0, -min(al for al, _, _ in terms))
     shift_b = max(0, -min(be for _, be, _ in terms))
     scale = math.lcm(*(c.denominator for _, _, c in terms))
@@ -527,6 +501,7 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
 
 
 INAPPLICABLE = None  # verdict value when the hypotheses do not hold
+NOT_NEGATIVE_CURVE = "u^2*c < a*b fails: the candidate generator is not a negative curve"
 
 
 @dataclass(frozen=True)
@@ -567,9 +542,11 @@ def _inapplicable(triple, assumptions, reason, presentation=None, eu=None, gk=No
 def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
     """Full pipeline: presentation, hypotheses, EU, GK, witness test.
 
-    Cross-checks the proved facts on the way (the two GK forms agree, EU
-    forces a witness, GK forbids one, and for u <= 6 exactly one of EU and
-    GK holds) and raises InternalConsistencyError if they ever fail.
+    The one entry point to a verdict; with ``want_witness`` the verdict also
+    carries the canonical witness, when one exists.  Cross-checks the proved
+    facts on the way (the two GK forms agree, EU forces a witness, GK forbids
+    one, and for u <= 6 exactly one of EU and GK holds) and raises
+    InternalConsistencyError if they ever fail.
     """
     try:
         pres = compute_presentation(triple)
@@ -581,12 +558,6 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
         return _inapplicable(
             triple, report, "curve ideal is not minimally generated by three binomials"
         )
-    return _verdict(pres, want_witness)
-
-
-def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
-    """``classify`` from the presentation on: hypotheses, EU, GK, witness test."""
-    triple = pres.triple
     assumptions = validate_assumptions(pres)
     eu = check_eu(pres)
     gk = check_gk(pres)
@@ -594,7 +565,7 @@ def _verdict(pres: HerzogPresentation, want_witness: bool) -> Verdict:
         return _inapplicable(
             triple,
             assumptions,
-            "u^2*c < a*b fails: the candidate generator is not a negative curve",
+            NOT_NEGATIVE_CURVE,
             presentation=pres,
             eu=eu,
             gk=gk,

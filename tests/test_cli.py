@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from symrees.cli import main
 from oracles import from_dict
+from symrees.lattice import DeltaRegion, LatticePoint
 from symrees.records import CSV_COLUMNS, from_verdict, to_dict
-from symrees.presentation import CurveTriple
+from symrees.presentation import CurveTriple, compute_presentation
 from symrees.witness import classify
 
 
@@ -344,7 +347,7 @@ def test_witness_verify_refuses_a_non_certificate(capsys, tmp_path, key, value):
 
 
 def test_witness_verify_refuses_a_huge_order_before_any_recheck(capsys, tmp_path, monkeypatch):
-    # the shift test would allocate O(order) per term; it must not be reached
+    # a header other than the certificate's is refused before any re-check
     payload = _emitted_payload(capsys, tmp_path)
 
     def no_recheck(*args):
@@ -383,6 +386,62 @@ def test_witness_verify_rejects_a_repeated_term(capsys, tmp_path, key, fields):
     assert code == 4
     assert out == ""
     assert err == f"FAIL: malformed witness file: {key} lists a ({fields}) twice\n"
+
+
+def test_witness_verify_is_bounded_by_the_file_not_by_u(capsys, tmp_path):
+    # 9999991 10000003 7 passes the hypotheses with u = 2,857,142; the 11
+    # terms of (v-1)^10 lie in (v-1, w-1)^10 but in no higher power, and the
+    # shift test says so from the term count, not with u entries per column
+    # (10.9 s and 301 MB before)
+    pres = compute_presentation(CurveTriple(9999991, 10000003, 7))
+    region = DeltaRegion(pres, 1)
+    terms = {LatticePoint(k, 0): (-1) ** k * math.comb(10, k) for k in range(11)}
+    payload = {
+        "triple": [9999991, 10000003, 7],
+        "e": 1,
+        "order": pres.u,
+        "degree": pres.a * pres.b,
+        "lattice_coefficients": [
+            {"alpha": al, "beta": be, "coefficient": str(c)} for (al, be), c in terms.items()
+        ],
+        "monomials": [
+            {**dict(zip("xyz", region.monomial_exponents(pt))), "coefficient": str(c)}
+            for pt, c in terms.items()
+        ],
+    }
+    path = tmp_path / "binomial.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", "9999991", "10000003", "7", "--verify", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (4, "", "FAIL: shift-substitution membership fails\n")
+
+
+def test_witness_verify_refuses_a_triple_outside_the_hypotheses(capsys, tmp_path, monkeypatch):
+    # 3 5 4 fails u^2 c < ab (16 > 15), so no witness certifies a verdict:
+    # the kernel vector y^3 + x z^3 - 3 x^2 y z + x^5 (order 2, degree 15)
+    # passes every re-check, and is refused before any of them runs
+    path = tmp_path / "outside.json"
+    path.write_text(
+        '{"triple": [3, 5, 4], "e": 1, "order": 2, "degree": 15, "lattice_coefficients": ['
+        '{"alpha": 0, "beta": 0, "coefficient": "1"}, {"alpha": 1, "beta": -1, "coefficient": "1"}, '
+        '{"alpha": 1, "beta": 0, "coefficient": "-3"}, {"alpha": 2, "beta": 1, "coefficient": "1"}], '
+        '"monomials": [{"x": 0, "y": 3, "z": 0, "coefficient": "1"}, '
+        '{"x": 1, "y": 0, "z": 3, "coefficient": "1"}, {"x": 2, "y": 1, "z": 1, "coefficient": "-3"}, '
+        '{"x": 5, "y": 0, "z": 0, "coefficient": "1"}]}'
+    )
+
+    def no_recheck(*args):
+        raise AssertionError("re-check run outside the hypotheses")
+
+    monkeypatch.setattr("symrees.cli.shift_membership_test", no_recheck)
+    monkeypatch.setattr("symrees.cli.curve_substitution_zero", no_recheck)
+    code, out, err = run_cli(capsys, "witness", "3", "5", "4", "--verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "inapplicable: u^2*c < a*b fails: the candidate generator is not a negative curve\n"
+    monkeypatch.undo()
+    for command in ("classify", "witness"):
+        assert run_cli(capsys, command, "3", "5", "4")[0] == 2
 
 
 def test_witness_absent(capsys):

@@ -48,10 +48,7 @@ from symrees.witness import (
     _kept_groups,
     _point_columns,
     _system_rows,
-    NoWitnessError,
     classify,
-    extract_witness,
-    huneke_witness_exists,
     piece_dimension,
 )
 
@@ -319,22 +316,16 @@ def test_system_rows_match_the_dense_builder_on_pools(pool):
 
 def test_classify_without_witness_builds_no_point(monkeypatch, validated_30):
     sample = validated_30[::7] + [pres(17, 503, 169)]
-    want = [
-        (classify(p.triple), huneke_witness_exists(p), piece_dimension(p, 2, p.u))
-        for p in sample
-    ]
+    want = [(classify(p.triple), piece_dimension(p, 2, p.u)) for p in sample]
 
     def no_points(*args):
         raise AssertionError("lattice point built without a witness wanted")
 
     monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     monkeypatch.setattr(symrees.lattice, "LatticePoint", no_points)
-    got = [
-        (classify(p.triple), huneke_witness_exists(p), piece_dimension(p, 2, p.u))
-        for p in sample
-    ]
+    got = [(classify(p.triple), piece_dimension(p, 2, p.u)) for p in sample]
     assert got == want
-    assert any(v.noetherian for v, _, _ in got) and not all(v.noetherian for v, _, _ in got)
+    assert any(v.noetherian for v, _ in got) and not all(v.noetherian for v, _ in got)
 
 
 def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, validated_40):
@@ -359,21 +350,6 @@ def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, valida
             noetherian=exists,
             witness=witness,
         ), p.triple
-
-
-def test_extract_witness_refuses_gk_triples_without_points(monkeypatch, validated_40):
-    # extract_witness goes through classify, which decides GK triples in the
-    # finite-difference basis
-    gk = [p for p in validated_40 if classify(p.triple).gk.holds]
-    assert len(gk) > 100
-
-    def no_points(*args):
-        raise AssertionError("lattice point built for a GK triple")
-
-    monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
-    for p in gk:
-        with pytest.raises(NoWitnessError):
-            extract_witness(p)
 
 
 # every validated triple up to 60 where neither EU nor GK holds (none up to
@@ -405,5 +381,3 @@ def test_witness_request_without_a_criterion_is_decided_before_points(monkeypatc
         assert not (v.eu.holds or v.gk.holds or exists), p.triple
         assert (v.points, v.dim_piece_u, v.witness_exists) == (points, points - rank, exists)
         assert classify(p.triple, want_witness=True) == v, p.triple
-        with pytest.raises(NoWitnessError):
-            extract_witness(p)

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symrees.lattice
 import symrees.witness
@@ -25,12 +27,8 @@ from symrees.polynomials import SparsePoly, curve_substitution_zero
 from symrees.presentation import CurveTriple, InternalConsistencyError, compute_presentation
 from symrees.scan import ScanJob, iter_triples
 from symrees.witness import (
-    AssumptionViolationError,
-    NoWitnessError,
     Verdict,
     classify,
-    extract_witness,
-    huneke_witness_exists,
     piece_dimension,
     shift_membership_test,
     _point_columns,
@@ -110,19 +108,14 @@ def test_piece_dimension_lower_bound(validated_30):
 
 
 def test_witness_existence_worked_examples():
-    assert huneke_witness_exists(pres(8, 19, 9)) is True
-    assert huneke_witness_exists(pres(25, 29, 72)) is False
-    assert huneke_witness_exists(pres(17, 503, 169)) is False
-
-
-def test_witness_test_requires_hypotheses():
-    with pytest.raises(AssumptionViolationError):
-        huneke_witness_exists(pres(16, 683, 97))
+    # a witness is extracted exactly when one exists
+    for triple, exists in [((8, 19, 9), True), ((25, 29, 72), False), ((17, 503, 169), False)]:
+        v = classify(CurveTriple(*triple), want_witness=True)
+        assert v.witness_exists is exists and (v.witness is not None) is exists, triple
 
 
 def test_extracted_witness_8_19_9():
-    p = pres(8, 19, 9)
-    w = extract_witness(p)
+    w = classify(CurveTriple(8, 19, 9), want_witness=True).witness
     assert w.coefficients[LatticePoint(0, 0)] == 1
     assert sum(w.coefficients.values()) == 0  # the (0,0) constraint row
     assert shift_membership_test(w.coefficients, 3)
@@ -139,18 +132,12 @@ def test_extracted_witness_8_19_9():
 
 
 def test_witness_polynomial_is_homogeneous_of_degree_ab():
-    p = pres(8, 19, 9)
-    w = extract_witness(p)
-    monos = w.monomials(p)
+    v = classify(CurveTriple(8, 19, 9), want_witness=True)
+    monos = v.witness.monomials(v.presentation)
     assert all(ex >= 0 and ey >= 0 and ez >= 0 for ex, ey, ez, _ in monos)
     assert {8 * ex + 19 * ey + 9 * ez for ex, ey, ez, _ in monos} == {152}
     poly = SparsePoly({(ex, ey, ez): c for ex, ey, ez, c in monos})
     assert curve_substitution_zero(poly, (8, 19, 9))
-
-
-def test_no_witness_error():
-    with pytest.raises(NoWitnessError):
-        extract_witness(pres(25, 29, 72))
 
 
 def test_shift_membership_basics():
@@ -222,6 +209,38 @@ def test_integer_shift_oracle_matches_fraction_loop():
     assert answers[True] > 50 and answers[False] > 50, answers
 
 
+def _times(phi, psi):
+    product = Counter()
+    for (a1, b1), c1 in phi.items():
+        for (a2, b2), c2 in psi.items():
+            product[a1 + a2, b1 + b2] += c1 * c2
+    return dict(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        max_size=3,
+    ),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_shift_test_matches_fraction_oracle_past_the_term_count(g, i, j):
+    # phi = (v-1)^i (w-1)^j g lies in (v-1, w-1)^(i+j); n runs past its
+    # count T of nonzero terms, where a nonzero phi is never a member
+    phi = g
+    for factor in [{(1, 0): 1, (0, 0): -1}] * i + [{(0, 1): 1, (0, 0): -1}] * j:
+        phi = _times(phi, factor)
+    terms = sum(1 for c in phi.values() if c)
+    for n in range(1, terms + 3):
+        answer = shift_membership_test(phi, n)
+        assert answer == shift_membership_fraction(phi, n), (phi, n)
+        if n >= terms:
+            assert answer is (terms == 0), (phi, n)
+
+
 def _random_staircase(rng, u):
     alphas = rng.sample(range(-15, 16), u)
     points = []
@@ -269,7 +288,7 @@ def test_witness_decision_matches_direct_kernel_inspection(validated_30):
         system = build_matrix(points, p.u)
         j = points.index(LatticePoint(0, 0))
         direct = any(vec[j] != 0 for vec in system.base.null_space())
-        assert huneke_witness_exists(p) == direct, p.triple
+        assert classify(p.triple).witness_exists == direct, p.triple
 
 
 def test_lazy_echelon_matches_eager_on_witness_systems(validated_30):
@@ -430,71 +449,47 @@ def test_classify_back_substitutes_the_witness_without_elimination(monkeypatch, 
     monkeypatch.undo()
     with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
     for p, v in with_witness:
-        assert v.witness == extract_witness(p), p.triple
+        assert v.witness == classify(p.triple, want_witness=True).witness, p.triple
         assert v.points - v.dim_piece_u == p.u * (p.u + 1) // 2, p.triple
 
 
-def test_presentation_entry_points_build_no_presentation(monkeypatch, validated_30):
-    # huneke_witness_exists and extract_witness start from the presentation
-    # they are given, through the same body as classify
-    sample = validated_30[::9]
-    want = [classify(p.triple, want_witness=True) for p in sample]
-    gated = pres(16, 683, 97)
-
-    def no_presentation(*args):
-        raise AssertionError("presentation rebuilt")
-
-    monkeypatch.setattr(symrees.witness, "compute_presentation", no_presentation)
-    for p, v in zip(sample, want):
-        assert huneke_witness_exists(p) is v.witness_exists, p.triple
-        if v.witness_exists:
-            assert extract_witness(p) == v.witness, p.triple
-        else:
-            with pytest.raises(NoWitnessError):
-                extract_witness(p)
-    for entry in (huneke_witness_exists, extract_witness):
-        with pytest.raises(AssumptionViolationError):
-            entry(gated)
-
-
-def test_presentation_entry_points_keep_both_cross_checks(monkeypatch):
+def test_classify_keeps_both_cross_checks(monkeypatch):
     # a forged EU on a triple without a witness, and GK forged on one with a
-    # witness, must both be caught
-    no_witness, with_witness = pres(25, 29, 72), pres(8, 19, 9)
+    # witness, must both be caught, with a witness wanted or not
+    no_witness, with_witness = CurveTriple(25, 29, 72), CurveTriple(8, 19, 9)
     check_eu, check_gk = symrees.witness.check_eu, symrees.witness.check_gk
     monkeypatch.setattr(symrees.witness, "check_eu", lambda p: replace(check_eu(p), holds=True))
-    for entry in (huneke_witness_exists, extract_witness):
+    for want in (False, True):
         with pytest.raises(InternalConsistencyError, match="EU holds"):
-            entry(no_witness)
+            classify(no_witness, want_witness=want)
     monkeypatch.undo()
     monkeypatch.setattr(
         symrees.witness, "check_gk", lambda p, **kw: replace(check_gk(p, **kw), def_I_holds=True)
     )
-    for entry in (huneke_witness_exists, extract_witness):
+    for want in (False, True):
         with pytest.raises(InternalConsistencyError, match="GK holds"):
-            entry(with_witness)
+            classify(with_witness, want_witness=want)
 
 
 def test_every_entry_point_keeps_the_u_le_6_dichotomy(monkeypatch):
     # for u <= 6 exactly one of EU and GK holds: EU forged away on a triple
-    # with a witness, and GK forged away on one without, must both be caught,
-    # by classify too
-    with_witness, no_witness = pres(8, 19, 9), pres(25, 29, 72)  # u = 3 and 3
+    # with a witness, and GK forged away on one without, must both be caught
+    # by classify, with a witness wanted or not
+    with_witness, no_witness = CurveTriple(8, 19, 9), CurveTriple(25, 29, 72)  # u = 3 and 3
     check_eu, check_gk = symrees.witness.check_eu, symrees.witness.check_gk
-    entries = (lambda q: classify(q.triple), huneke_witness_exists, extract_witness)
     monkeypatch.setattr(symrees.witness, "check_eu", lambda p: replace(check_eu(p), holds=False))
-    for entry in entries:
+    for want in (False, True):
         with pytest.raises(InternalConsistencyError, match="neither EU nor GK"):
-            entry(with_witness)
+            classify(with_witness, want_witness=want)
     monkeypatch.undo()
     monkeypatch.setattr(
         symrees.witness,
         "check_gk",
         lambda p, **kw: replace(check_gk(p, **kw), def_I_holds=False, def_II_holds=False),
     )
-    for entry in entries:
+    for want in (False, True):
         with pytest.raises(InternalConsistencyError, match="neither EU nor GK"):
-            entry(no_witness)
+            classify(no_witness, want_witness=want)
 
 
 def test_verdicts_match_criteria_on_validated_pool(validated_30):

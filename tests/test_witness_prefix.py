@@ -1,8 +1,7 @@
 """Witness extraction on the kept columns against the full point system.
 
-``classify(want_witness=True)``, ``extract_witness`` and ``symrees witness``
-keep the first min(l_alpha, m_alpha) points of each column
-(``witness._kept_groups``).  When the kept counts are u, u-1, ..., 1 they
+``classify(want_witness=True)`` and ``symrees witness`` keep the first
+min(l_alpha, m_alpha) points of each column (``witness._kept_groups``).  When the kept counts are u, u-1, ..., 1 they
 back-substitute through the order lowering (``_back_substituted``);
 otherwise they eliminate the kept points (``_kept_elimination``).
 ``oracles.point_system_witness`` eliminates the (e=1, n=u) system over every
@@ -56,7 +55,6 @@ from symrees.witness import (
     _system_rows,
     _witness_test,
     classify,
-    extract_witness,
     shift_membership_test,
 )
 
@@ -158,7 +156,7 @@ def test_prefix_witness_on_triangles_far_larger_than_the_prefixes(no_fallback):
         assert want[0] == points and len(prefix_points(p, 1, u)) == prefix <= u**2 + 1
         assert len(kept_points(kept_groups(p))) == kept
         if want[2]:
-            assert extract_witness(p) == want[3]
+            assert classify(p.triple, want_witness=True).witness == want[3]
 
 
 @settings(max_examples=60, deadline=None)
