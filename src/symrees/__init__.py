@@ -40,7 +40,6 @@ from .polynomials import (  # noqa: F401
     build_xi,
     build_zeta,
     check_minor_relations,
-    check_product_power_gap,
     curve_substitution_zero,
     generate_family,
     staircase_length,

@@ -302,7 +302,7 @@ def _cmd_witness(args) -> int:
             print(f"FAIL: malformed witness file: {problem}", file=sys.stderr)
             return 4
         if tuple(payload["triple"]) != (args.a, args.b, args.c):
-            print(f"witness file is for triple {payload['triple']}", file=sys.stderr)
+            print(f"FAIL: witness file is for triple {payload['triple']}", file=sys.stderr)
             return 4
         pres = compute_presentation(CurveTriple(args.a, args.b, args.c))
         if not validate_assumptions(pres).all_hold:  # no verdict to certify

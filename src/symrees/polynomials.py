@@ -5,6 +5,11 @@ u2), not only for presentations of pairwise coprime triples: a scaled family
 member has weights a = t3*u1 + t1*u, b = s3*u2 + s2*u, c = s2*t3 + s3*t that
 may share factors.  Coefficients are exact (int or Fraction); there is no
 floating point.
+
+The family's colength counts work modulo x, where the slice of a product is
+the product of the slices: the staircases are products of the slices of the
+elements f, g, h, xi and zeta that the report builds, so they certify
+p^(2) = (p^2, xi) and p^(3) = (p^3, p xi, zeta) modulo x.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .presentation import CurveTriple, HerzogPresentation, is_negative_curve
@@ -260,54 +266,10 @@ def staircase_length(gens: Staircase) -> int:
     return total
 
 
-def second_power_slice_ideal(p: HerzogPresentation) -> Staircase:
-    """Generators of the x = 0 slice of the second symbolic power.
-
-    Valid under the hypotheses of the xi construction:
-    (y^3, y^2 z^(2u1), y z^(u+u1), z^(2u)).
-    """
-    return ((3, 0), (2, 2 * p.u1), (1, p.u + p.u1), (0, 2 * p.u))
-
-
-def third_power_slice_ideal(p: HerzogPresentation) -> Staircase:
-    """x = 0 slice of the third symbolic power (zeta hypotheses):
-    (y^5, y^4 z^(2u1-u2), y^3 z^u, y^2 z^(u+2u1), y z^(2u+u1), z^(3u))."""
-    u, u1 = p.u, p.u1
-    return ((5, 0), (4, 2 * u1 - p.u2), (3, u), (2, u + 2 * u1), (1, 2 * u + u1), (0, 3 * u))
-
-
-def product_23_slice_ideal(p: HerzogPresentation) -> Staircase:
-    """x = 0 slice of (second power) * (third power)."""
-    u, u1, u2 = p.u, p.u1, p.u2
-    return (
-        (8, 0),
-        (7, 2 * u1 - u2),
-        (6, min(u, 4 * u1 - u2)),
-        (5, 4 * u1),
-        (4, 4 * u1 + u2),
-        (3, 3 * u),
-        (2, 3 * u + 2 * u1),
-        (1, 4 * u + u1),
-        (0, 5 * u),
-    )
-
-
-def symbolic_slice_length(p: HerzogPresentation, n: int) -> int:
-    """Colength of the x = 0 slice of the n-th symbolic power: n(n+1)/2 * a."""
-    return n * (n + 1) // 2 * p.a
-
-
-def check_product_power_gap(p: HerzogPresentation) -> tuple[int, int, int]:
-    """(product length, symbolic length, gap) of the x = 0 slices.
-
-    The x = 0 slice of (2nd power)*(3rd power) is strictly smaller than that
-    of the 5th symbolic power; the colength difference is
-    min(u2 - u1, 2*u1 - u2) > 0 under the zeta hypotheses, which certifies
-    that products of low symbolic powers never exhaust the fifth.
-    """
-    len_product = staircase_length(product_23_slice_ideal(p))
-    len_symbolic = symbolic_slice_length(p, 5)
-    return len_product, len_symbolic, len_product - len_symbolic
+def _times(*ideals: Staircase) -> Staircase:
+    """Generators of the product of monomial ideals in y, z: every sum of one
+    generator from each factor, not reduced to the minimal ones."""
+    return tuple((sum(i for i, _ in pick), sum(j for _, j in pick)) for pick in product(*ideals))
 
 
 class FamilyRejectionError(ValueError):
@@ -366,6 +328,10 @@ def verify_family_report(params: FamilyParams) -> list[FamilyCheck]:
     Returns one entry per clause so callers can print a pass/fail line each;
     all checks are exact.  A numerator that x^s3 does not divide is a FAIL
     line, and the report stops there; so is a gap other than min(u2-u1, 2u1-u2).
+    The x = 0 staircases are built from the slices of f, g, h, xi and zeta:
+    colength 3a at order 2 and 6a at order 3 prove that (p^2, xi) and
+    (p^3, p xi, zeta) are the second and third symbolic powers modulo x, and
+    the product of those two staircases has a colength above 15a, the fifth's.
     """
     p = params.presentation
     weights = (p.a, p.b, p.c)
@@ -397,7 +363,7 @@ def verify_family_report(params: FamilyParams) -> list[FamilyCheck]:
 
     divides = "order-3 element: x^s3 divides f^3 + z^(2u1-u2) h xi"
     try:
-        _, companion, slice_ok = _zeta(p, f, h, xi)
+        zeta, companion, slice_ok = _zeta(p, f, h, xi)
     except NotDivisibleError as exc:
         return checks + [FamilyCheck(divides, False, str(exc))]
     checks += [
@@ -406,15 +372,20 @@ def verify_family_report(params: FamilyParams) -> list[FamilyCheck]:
         FamilyCheck("order-3 slice: zeta = -y^4 z^(2u1-u2) mod (x)", slice_ok),
     ]
 
-    for n, gens in ((2, second_power_slice_ideal(p)), (3, third_power_slice_ideal(p))):
-        length, want = staircase_length(gens), symbolic_slice_length(p, n)
+    # the staircases of p, (p^2, xi) and (p^3, p xi, zeta) modulo x
+    order1 = (*f.slice_x0(), *g.slice_x0(), *h.slice_x0())
+    order2 = _times(order1, order1) + tuple(xi.slice_x0())
+    order3 = _times(order1, order2) + tuple(zeta.slice_x0())
+    for n, gens in ((2, order2), (3, order3)):
         k = n * (n + 1) // 2
+        length, want = staircase_length(gens), k * p.a
         checks.append(
             FamilyCheck(
                 f"slice colength at order {n} equals {k}a", length == want, f"{length} vs {k}a = {want}"
             )
         )
-    len_product, len_symbolic, gap = check_product_power_gap(p)
+    len_product, len_symbolic = staircase_length(_times(order2, order3)), 15 * p.a
+    gap = len_product - len_symbolic
     checks.append(
         FamilyCheck(
             "order 2*3 product is strictly smaller than the order-5 power",

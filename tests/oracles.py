@@ -20,10 +20,14 @@ one Pascal table, the GK interval counts in Fraction arithmetic, a
 Fraction front end to the integer interval count,
 the ``dataclasses.asdict`` record encoding, every representation of an
 integer by two coprime weights and the minimal-j one per integer, and the
-triangle's slopes, vertices and column ordinates as fractions.  Some small
-helpers that only tests need live here too: the derivative order sequence,
-the record decoder, the integer-scaled witness, the (a, b) swap and the
-kept points of ``witness._kept_groups``.
+triangle's slopes, vertices and column ordinates as fractions, and the
+paper's hand-typed x = 0 staircases of the family's second and third
+symbolic powers and of their product (``verify_family_report`` derives
+them from the elements it builds).  Some small helpers that only tests need
+live here too: the derivative order sequence, the record decoder, the
+integer-scaled witness, the (a, b) swap, the kept points of
+``witness._kept_groups``, the minimal generators of a monomial ideal in
+y, z and the staircases that ``verify_family_report`` measures.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Sequence
+from unittest import mock
 
+from symrees import polynomials
 from symrees.lattice import LatticePoint, _column_bounds, interval_count
 from symrees.linalg import Echelon, _echelon
 from symrees.presentation import CurveTriple
@@ -724,3 +730,51 @@ def integerized(witness: WitnessElement) -> dict[LatticePoint, int]:
 
 def swapped_ab(triple: CurveTriple) -> CurveTriple:
     return CurveTriple(triple.b, triple.a, triple.c)
+
+
+def second_power_slice_gens(p) -> tuple[tuple[int, int], ...]:
+    """The paper's x = 0 slice of the family's second symbolic power:
+    (y^3, y^2 z^(2u1), y z^(u+u1), z^(2u))."""
+    return ((3, 0), (2, 2 * p.u1), (1, p.u + p.u1), (0, 2 * p.u))
+
+
+def third_power_slice_gens(p) -> tuple[tuple[int, int], ...]:
+    """The paper's x = 0 slice of the family's third symbolic power:
+    (y^5, y^4 z^(2u1-u2), y^3 z^u, y^2 z^(u+2u1), y z^(2u+u1), z^(3u))."""
+    u, u1 = p.u, p.u1
+    return ((5, 0), (4, 2 * u1 - p.u2), (3, u), (2, u + 2 * u1), (1, 2 * u + u1), (0, 3 * u))
+
+
+def product_23_slice_gens(p) -> tuple[tuple[int, int], ...]:
+    """The paper's x = 0 slice of (second power) * (third power)."""
+    u, u1, u2 = p.u, p.u1, p.u2
+    return (
+        (8, 0),
+        (7, 2 * u1 - u2),
+        (6, min(u, 4 * u1 - u2)),
+        (5, 4 * u1),
+        (4, 4 * u1 + u2),
+        (3, 3 * u),
+        (2, 3 * u + 2 * u1),
+        (1, 4 * u + u1),
+        (0, 5 * u),
+    )
+
+
+def minimal_generators(gens) -> list[tuple[int, int]]:
+    """The monomials y^i z^j of ``gens`` that no other one divides, sorted."""
+    gens = set(gens)
+    return sorted(
+        (i, j) for i, j in gens
+        if not any((gi, gj) != (i, j) and gi <= i and gj <= j for gi, gj in gens)
+    )
+
+
+def report_staircases(params) -> list[tuple[tuple[int, int], ...]]:
+    """The staircases ``verify_family_report`` measures, in its order: the
+    slices at orders 2 and 3, then their product."""
+    with mock.patch.object(
+        polynomials, "staircase_length", wraps=polynomials.staircase_length
+    ) as spy:
+        polynomials.verify_family_report(params)
+    return [call.args[0] for call in spy.call_args_list]

@@ -20,15 +20,12 @@ from symrees.polynomials import (
     build_xi,
     build_zeta,
     check_minor_relations,
-    check_product_power_gap,
     generate_family,
     is_negative_curve,
-    second_power_slice_ideal,
     staircase_length,
-    third_power_slice_ideal,
     verify_family_report,
 )
-from oracles import build_matrix, mul_vector
+from oracles import build_matrix, mul_vector, report_staircases
 from symrees.presentation import CurveTriple
 from symrees.scan import ScanJob, run_scan
 from symrees.witness import classify, shift_membership_test
@@ -93,9 +90,12 @@ def test_criterion_4_family_instance():
         assert check_minor_relations(f, g, h, p)
         xi = build_xi(p)  # clauses (i)-(iii) verified inside
         build_zeta(p, xi)
-        assert staircase_length(second_power_slice_ideal(p)) == 48 == 3 * p.a
-        assert staircase_length(third_power_slice_ideal(p)) == 96 == 6 * p.a
-        assert check_product_power_gap(p) == (241, 240, 1)
+        # the staircases the report derives from f, g, h, xi and zeta
+        order2, order3, product = report_staircases(params)
+        assert staircase_length(order2) == 48 == 3 * p.a
+        assert staircase_length(order3) == 96 == 6 * p.a
+        len_product = staircase_length(product)
+        assert (len_product, 15 * p.a, len_product - 15 * p.a) == (241, 240, 1)
         assert xi.weighted_degree((16, 683, 97)) == 2049
         assert is_negative_curve(2049, 2, (16, 683, 97))
         assert 2049**2 < 4 * 16 * 683 * 97

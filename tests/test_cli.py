@@ -228,6 +228,14 @@ def test_witness_verify_rejects_tampering(capsys, tmp_path):
     assert "FAIL" in err
 
 
+def test_witness_verify_refuses_a_file_for_another_triple(capsys, tmp_path):
+    out_file = tmp_path / "witness.json"
+    run_cli(capsys, "witness", "8", "19", "9", "--out", str(out_file))
+    code, out, err = run_cli(capsys, "witness", "9", "19", "8", "--verify", str(out_file))
+    assert (code, out) == (4, "")
+    assert err == "FAIL: witness file is for triple [8, 19, 9]\n"
+
+
 def _verify_file(capsys, tmp_path, text):
     path = tmp_path / "witness.json"
     path.write_text(text)

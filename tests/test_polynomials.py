@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symrees.polynomials
-from oracles import curve_substitution_fraction
+from oracles import (
+    curve_substitution_fraction,
+    minimal_generators,
+    product_23_slice_gens,
+    report_staircases,
+    second_power_slice_gens,
+    third_power_slice_gens,
+)
 from symrees.cli import main
 from symrees.polynomials import (
     FamilyRejectionError,
@@ -15,19 +22,15 @@ from symrees.polynomials import (
     InfiniteColengthError,
     NotDivisibleError,
     SparsePoly,
+    _times,
     build_generators,
     build_xi,
     build_zeta,
     check_minor_relations,
-    check_product_power_gap,
     curve_substitution_zero,
     generate_family,
     is_negative_curve,
-    product_23_slice_ideal,
-    second_power_slice_ideal,
     staircase_length,
-    symbolic_slice_length,
-    third_power_slice_ideal,
     verify_family_report,
 )
 from symrees.presentation import CurveTriple, HerzogPresentation, compute_presentation
@@ -144,28 +147,71 @@ def test_staircase_brute_force_cross_check():
         assert staircase_length(tuple(gens)) == expected
 
 
+def test_times_matches_a_brute_force_product():
+    # y^i z^j lies in IJ when it splits as a monomial of I times one of J
+    def member(ideal, i, j):
+        return any(gi <= i and gj <= j for gi, gj in ideal)
+
+    def outside_product(ideal_i, ideal_j):
+        rows = min(i for i, j in ideal_i if j == 0) + min(i for i, j in ideal_j if j == 0)
+        cols = min(j for i, j in ideal_i if i == 0) + min(j for i, j in ideal_j if i == 0)
+        return sum(
+            1
+            for i in range(rows)
+            for j in range(cols)
+            if not any(
+                member(ideal_i, i1, j1) and member(ideal_j, i - i1, j - j1)
+                for i1 in range(i + 1)
+                for j1 in range(j + 1)
+            )
+        )
+
+    def random_ideal(rng):
+        gens = [(rng.randint(1, 5), 0), (0, rng.randint(1, 5))]
+        return tuple(gens + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 3))])
+
+    rng = random.Random(77003)
+    for _ in range(60):
+        ideal_i, ideal_j, ideal_k = random_ideal(rng), random_ideal(rng), random_ideal(rng)
+        assert staircase_length(_times(ideal_i, ideal_j)) == outside_product(ideal_i, ideal_j)
+        assert set(_times(ideal_i, ideal_j, ideal_k)) == set(_times(_times(ideal_i, ideal_j), ideal_k))
+
+
 def test_slice_ideals_match_length_formula():
-    p = family_16_683_97().presentation
-    assert second_power_slice_ideal(p) == ((3, 0), (2, 10), (1, 16), (0, 22))
-    assert staircase_length(second_power_slice_ideal(p)) == symbolic_slice_length(p, 2) == 48
-    assert staircase_length(third_power_slice_ideal(p)) == symbolic_slice_length(p, 3) == 96
+    params = family_16_683_97()
+    p = params.presentation
+    order2, order3, _ = report_staircases(params)
+    assert second_power_slice_gens(p) == ((3, 0), (2, 10), (1, 16), (0, 22))
+    assert minimal_generators(order2) == minimal_generators(second_power_slice_gens(p))
+    assert minimal_generators(order3) == minimal_generators(third_power_slice_gens(p))
+    assert staircase_length(order2) == staircase_length(second_power_slice_gens(p)) == 3 * p.a == 48
+    assert staircase_length(order3) == staircase_length(third_power_slice_gens(p)) == 6 * p.a == 96
 
 
 def test_product_gap():
-    p = family_16_683_97().presentation
-    assert product_23_slice_ideal(p) == (
+    params = family_16_683_97()
+    p = params.presentation
+    *_, product = report_staircases(params)
+    assert product_23_slice_gens(p) == (
         (8, 0), (7, 4), (6, 11), (5, 20), (4, 26), (3, 33), (2, 43), (1, 49), (0, 55),
     )
-    len_product, len_symbolic, gap = check_product_power_gap(p)
+    assert minimal_generators(product) == minimal_generators(product_23_slice_gens(p))
+    len_product, len_symbolic = staircase_length(product), 15 * p.a
+    gap = len_product - len_symbolic
     assert (len_product, len_symbolic, gap) == (241, 240, 1)
     assert len_product == min(29 * p.u1 + 16 * p.u2, 32 * p.u1 + 14 * p.u2)
     assert gap == min(p.u2 - p.u1, 2 * p.u1 - p.u2)
 
 
 def test_gap_mismatch_is_a_fail_line_not_an_exception(monkeypatch, capsys):
-    # check_product_power_gap only measures; the report clause checks the
-    # gap against min(u2 - u1, 2*u1 - u2) = 1, and a mismatch is a FAIL line
-    monkeypatch.setattr(symrees.polynomials, "check_product_power_gap", lambda p: (242, 240, 2))
+    # a wrong colength of the product staircase alone: the report clause checks
+    # the gap against min(u2 - u1, 2*u1 - u2) = 1, and a mismatch is a FAIL line
+    product = minimal_generators(product_23_slice_gens(family_16_683_97().presentation))
+    monkeypatch.setattr(
+        symrees.polynomials,
+        "staircase_length",
+        lambda gens: staircase_length(gens) + (minimal_generators(gens) == product),
+    )
     checks = verify_family_report(family_16_683_97())
     failed = [chk for chk in checks if not chk.ok]
     assert [chk.label for chk in failed] == [
@@ -216,6 +262,20 @@ def _random_admissible_params(rng):
         if not lo < beta < hi:
             continue
         return generate_family(alpha, beta, rng.randint(1, 3), rng.randint(1, 3))
+
+
+def test_report_staircases_are_the_papers():
+    # the three pinned members, then a seeded sample of the box
+    rng = random.Random(77004)
+    pinned = ((1, 1), (2, 1), (3, 2))
+    members = [generate_family(Fraction(6, 5), Fraction(49, 24), m, n) for m, n in pinned]
+    members += [_random_admissible_params(rng) for _ in range(400)]
+    for params in members:
+        p = params.presentation
+        oracle = (second_power_slice_gens(p), third_power_slice_gens(p), product_23_slice_gens(p))
+        assert [minimal_generators(s) for s in report_staircases(params)] == [
+            minimal_generators(s) for s in oracle
+        ], (params.alpha, params.beta, params.m, params.n)
 
 
 def test_family_identities_hold_across_parameter_box():
