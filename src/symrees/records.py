@@ -79,35 +79,17 @@ def from_verdict(v: Verdict, timing_ms: float | None = None) -> VerdictRecord:
     )
 
 
-def _copy(data: dict[str, Any] | None) -> dict[str, Any] | None:
-    return None if data is None else dict(data)
-
-
 def to_dict(record: VerdictRecord, *, with_timing: bool = True) -> dict[str, Any]:
-    """JSON-ready dict of a record: the fields in declaration order.
+    """JSON-ready dict of a record: its fields in declaration order.
 
-    ``timing_ms`` is left out when ``with_timing`` is False.  The nested
-    dicts and the ``ell`` lists are copied, so changing the result leaves
-    the record as it was; their values are ints, bools, strings or None.
+    ``timing_ms`` is left out when ``with_timing`` is False.  ``from_verdict``
+    already builds every value in its JSON form (plain dicts, ``ell`` as a
+    list, ``five_way`` as its string), so the values are the record's own,
+    not copies: the result is for ``json.dumps``, not for changing.
     """
-    eu = record.eu
-    if eu is not None:
-        eu = {**eu, "ell": list(eu["ell"]), "ell_sorted": list(eu["ell_sorted"])}
-    data = {
-        "triple": list(record.triple),
-        "presentation": _copy(record.presentation),
-        "assumptions": _copy(record.assumptions),
-        "eu": eu,
-        "gk": _copy(record.gk),
-        "witness_exists": record.witness_exists,
-        "noetherian": record.noetherian,
-        "reason": record.reason,
-        "points": record.points,
-        "dim_piece_u": record.dim_piece_u,
-    }
-    if with_timing:
-        data["timing_ms"] = record.timing_ms
-    data["version"] = record.version
+    data = dict(vars(record))
+    if not with_timing:
+        del data["timing_ms"]
     return data
 
 

@@ -308,9 +308,8 @@ def _kept_groups(p: HerzogPresentation, ell: tuple[int, ...], n: int) -> list[tu
     """
     groups = []
     m, above, below = n, 0, [0] * n  # below[l]: groups of length l < m left
+    # n = len(ell) and each take-out uses up one group, so m >= n - alpha + 1 >= 1 at column alpha
     for alpha, length in enumerate(ell, 1):
-        if not m:
-            break
         if length >= m:
             groups.append((alpha, column_top(p, alpha), m))
             above += 1

@@ -177,6 +177,14 @@ def test_piece_dim_no_constraints(capsys):
     assert data["dimension"] == data["points"] == 11
 
 
+@pytest.mark.parametrize("piece", [("--e", "0", "--n", "3"), ("--n", "-1")])
+def test_piece_dim_refuses_an_empty_piece(capsys, piece):
+    # e = 0 is no symbolic power and n < 0 no order: a usage error, exit 3
+    assert run_cli(capsys, "piece-dim", "8", "19", "9", *piece) == (
+        3, "", "piece-dim: need --e >= 1 and --n >= 0\n"
+    )
+
+
 def test_piece_dim_25_29_72(capsys):
     code, out, _ = run_cli(capsys, "piece-dim", "25", "29", "72", "--n", "3")
     data = json.loads(out)
