@@ -70,7 +70,7 @@ def from_verdict(v: Verdict, timing_ms: float | None = None) -> VerdictRecord:
         },
         eu=eu,
         gk=gk,
-        witness_exists=v.witness_exists,
+        witness_exists=v.noetherian,
         noetherian=v.noetherian,
         reason=v.reason,
         points=v.points,

@@ -39,9 +39,8 @@ the witness is back-substituted through the lowering in integers, with no
 row built and no elimination (``_back_substituted``).  Otherwise a witness
 request is decided in the finite-difference basis first, and the kept
 points are eliminated only when a witness exists (``_kept_elimination``),
-through the one row builder.  The re-checks of an emitted witness,
-membership in the triangle, ``shift_membership_test`` and the curve test
-``polynomials.curve_substitution_zero``, run in integers.
+through the one row builder.  ``shift_membership_test`` tests membership
+in integers, on the monomials of a file that ``symrees witness --verify`` reads.
 """
 
 from __future__ import annotations
@@ -448,7 +447,7 @@ def _witness_test(p: HerzogPresentation, ell: tuple[int, ...], want_witness: boo
 
 
 def shift_membership_test(coefficients: dict, n: int) -> bool:
-    """Independent oracle for membership of phi in (v-1, w-1)^n.
+    """Does the Laurent polynomial phi = sum c v^alpha w^beta lie in (v-1, w-1)^n?
 
     Multiplying by the units v, w does not change membership, so the support
     is first shifted to nonnegative exponents; then v -> 1+s, w -> 1+r is
@@ -470,6 +469,14 @@ def shift_membership_test(coefficients: dict, n: int) -> bool:
     and (x d/dx)^j of it, sum c_k e_k^j, is zero at 1 for j < n.  For
     j < T that is a Vandermonde system in the nonzero c_k with distinct
     nodes e_k, which has no nonzero solution.
+
+    ``symrees witness --verify`` passes the (y, z) exponents of f(1, y, z)
+    for a file whose monomials are the expansion f = y^a phi(v, w) of its
+    lattice terms (v = x^s2 z^u2 y^-t, w = x^s3 y^t3 z^-u), which refuses
+    exactly what testing phi refuses: at x = 1, (y, z) -> (v, w) fixes
+    (1, 1) with Jacobian determinant t*u - t3*u2 = a, so it is etale there;
+    y^a is a unit there; both ideals are powers of a maximal ideal.  The one
+    degree ab fixes the x exponent, so the bound holds with the same T terms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -507,9 +514,9 @@ NOT_NEGATIVE_CURVE = "u^2*c < a*b fails: the candidate generator is not a negati
 class Verdict:
     """Complete classification record for one triple.
 
-    ``noetherian`` is True/False exactly when all hypotheses hold, in which
-    case it equals ``witness_exists``; otherwise it is None (inapplicable)
-    and ``reason`` says why.
+    ``noetherian`` is True/False exactly when all hypotheses hold, and then
+    says whether a witness exists; otherwise it is None (inapplicable) and
+    ``reason`` says why.
     """
 
     triple: CurveTriple
@@ -517,7 +524,6 @@ class Verdict:
     assumptions: AssumptionReport
     eu: EuReport | None
     gk: GkReport | None
-    witness_exists: bool | None
     noetherian: bool | None
     reason: str | None
     points: int | None = None
@@ -532,7 +538,6 @@ def _inapplicable(triple, assumptions, reason, presentation=None, eu=None, gk=No
         assumptions=assumptions,
         eu=eu,
         gk=gk,
-        witness_exists=None,
         noetherian=INAPPLICABLE,
         reason=reason,
     )
@@ -591,7 +596,6 @@ def classify(triple: CurveTriple, *, want_witness: bool = False) -> Verdict:
         assumptions=assumptions,
         eu=eu,
         gk=gk,
-        witness_exists=exists,
         noetherian=exists,
         reason=None,
         points=n_points,

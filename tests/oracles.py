@@ -9,7 +9,11 @@ the eagerly rescaled Bareiss elimination,
 a guard row reduced against an echelon form (the package decides the
 constant term by a pivot test instead), matrix-vector products, the
 shift-substitution membership test with Fraction coefficients and term by
-term over integers, the curve substitution test summed in Fraction, the witness
+term over integers, the curve substitution test summed in Fraction, the
+re-checks of ``symrees witness --verify`` with order-u membership tested on
+the lattice coefficients and order 1 on the monomials, the Zariski-Nagata
+jet system on the x, y, z monomials of one degree (it needs only the
+weights; no presentation or triangle enters), the witness
 extraction over every lattice point of the triangle, the depth-u column
 prefixes that witness extraction eliminated before it kept fewer points,
 the finite-difference decision over every column of that basis, full
@@ -41,11 +45,11 @@ from typing import Sequence
 from unittest import mock
 
 from symrees import polynomials
-from symrees.lattice import LatticePoint, _column_bounds, interval_count
+from symrees.lattice import DeltaRegion, LatticePoint, _column_bounds, interval_count
 from symrees.linalg import Echelon, _echelon
 from symrees.presentation import CurveTriple
 from symrees.records import VerdictRecord
-from symrees.witness import WitnessElement, _binom_table, _system_rows
+from symrees.witness import WitnessElement, _binom_table, _system_rows, shift_membership_test
 
 Rat = int | Fraction
 
@@ -516,6 +520,91 @@ def curve_substitution_fraction(poly, weights) -> bool:
         else:
             acc[d] = s
     return not acc
+
+
+def lattice_reverify_witness(pres, payload: dict, terms: dict) -> list[str]:
+    """The re-checks of ``symrees witness --verify`` as they were with order-u
+    membership tested on the lattice coefficients, phi(v, w), and the
+    monomials tested at order 1 only, by the curve substitution.
+
+    The package tests the monomials themselves, f(1, y, z), at order u,
+    once they are the expansion, and runs no curve test.
+    """
+    a, b, c = payload["triple"]
+    certificate = {"e": 1, "order": pres.u, "degree": a * b}
+    problems = [
+        f"{key} is {payload[key]}, not {want}"
+        for key, want in certificate.items()
+        if payload[key] != want
+    ]
+    if problems:
+        return problems
+    coeffs = {LatticePoint(*pt): coeff for pt, coeff in terms["lattice_coefficients"].items()}
+    if coeffs.get(LatticePoint(0, 0)) != 1:
+        problems.append("constant lattice coefficient is not 1")
+    region = DeltaRegion(pres, payload["e"])
+    if not all(region.contains(pt.alpha, pt.beta) for pt in coeffs):
+        problems.append("support leaves the triangle")
+    if not shift_membership_test(coeffs, payload["order"]):
+        problems.append("shift-substitution membership fails")
+    monomials = terms["monomials"]
+    expansion = {region.monomial_exponents(pt): coeff for pt, coeff in coeffs.items() if coeff}
+    if {ex: coeff for ex, coeff in monomials.items() if coeff} != expansion:
+        problems.append("monomials are not the expansion of the lattice coefficients")
+    poly = polynomials.SparsePoly(monomials)
+    if not polynomials.curve_substitution_zero(poly, (a, b, c)):
+        problems.append("reconstructed polynomial does not vanish on the curve")
+    degrees = {x * a + y * b + z * c for x, y, z in monomials}
+    if degrees != {payload["degree"]}:
+        problems.append(f"monomial degrees {sorted(degrees)} != {payload['degree']}")
+    return problems
+
+
+def degree_monomials(weights, d: int) -> list[tuple[int, int, int]]:
+    """Every x^i y^j z^k of weighted degree d, as (i, j, k), k then j ascending."""
+    a, b, c = weights
+    out = []
+    for k in range(d // c + 1):
+        for j in range((d - k * c) // b + 1):
+            i, rest = divmod(d - j * b - k * c, a)
+            if not rest:
+                out.append((i, j, k))
+    return out
+
+
+def jet_rows(columns, n: int) -> list[list[int]]:
+    """The order-n Zariski-Nagata jet system on the monomials ``columns``.
+
+    Row (q, r), q + r < n, holds C(j, q) * C(k, r) on x^i y^j z^k: the
+    coefficient of s^q t^r in f(1, 1 + s, 1 + t).  A weighted-homogeneous f
+    lies in p^(n) exactly when f(1, y, z) vanishes to order n at (1, 1),
+    since the curve is the closure of the orbit of (1, 1, 1): exactly when
+    its coefficient vector is in the kernel.  Neither the Herzog
+    presentation nor the triangle enters.
+    """
+    return [
+        [math.comb(j, q) * math.comb(k, r) for _, j, k in columns]
+        for q in range(n)
+        for r in range(n - q)
+    ]
+
+
+def jet_decision(weights, d: int, n: int) -> tuple[int, int, bool]:
+    """(columns, rank, pure y power column is a pivot) of the jet system in degree d, order n.
+
+    The columns are every monomial of degree d, y^(d/b) placed last when it
+    is one.  That column is a pivot exactly when no element of the degree-d
+    piece of p^(n) has a y^(d/b) term; at d = ab and n = u, when the ring is
+    not Noetherian.  Without the pure power the answer is False.
+    """
+    pure = (0, d // weights[1], 0)
+    columns = degree_monomials(weights, d)
+    if pure in columns:
+        columns.remove(pure)
+        columns.append(pure)
+    reduced = _echelon(jet_rows(columns, n), len(columns))
+    last = bool(reduced.pivots) and reduced.pivots[-1] == len(columns) - 1
+    return len(columns), reduced.rank, last and columns[-1] == pure
 
 
 def falling_factorial(n: int, k: int) -> int:

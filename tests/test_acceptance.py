@@ -45,7 +45,6 @@ def test_criterion_1_triple_8_19_9():
     assert verdict.eu.ell == (6, 3, 1)
     assert verdict.eu.holds is True
     assert verdict.gk.holds is False
-    assert verdict.witness_exists is True
     assert verdict.noetherian is True
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1: PASS - (8,19,9) Noetherian, EU holds ({elapsed*1000:.0f} ms)")
@@ -56,7 +55,6 @@ def test_criterion_2_triple_25_29_72():
     assert verdict.eu.ell == (2, 2, 1)
     assert verdict.eu.holds is False
     assert verdict.gk.five_way.value == "GK3"
-    assert verdict.witness_exists is False
     assert verdict.noetherian is False
     # the 6-point, 6-constraint system is nonsingular, forcing the constant term
     assert verdict.points == 6 and verdict.dim_piece_u == 0
@@ -72,7 +70,6 @@ def test_criterion_3_triple_17_503_169():
     assert verdict.gk.holds is False
     assert verdict.points == 28  # vs 28 constraint rows at order u = 7
     assert verdict.presentation.u * (verdict.presentation.u + 1) // 2 == 28
-    assert verdict.witness_exists is False
     assert verdict.noetherian is False
     assert elapsed < 5.0
     print(
@@ -239,7 +236,7 @@ def test_criterion_9_large_residual_systems(monkeypatch, triple, points, dim, ec
     monkeypatch.setattr(witness, "_echelon", spy)
     verdict, elapsed = _timed(lambda: classify(CurveTriple(*triple)))
     assert verdict.eu.holds is False and verdict.gk.holds is False
-    assert verdict.witness_exists is False and verdict.noetherian is False
+    assert verdict.noetherian is False
     assert (verdict.points, verdict.dim_piece_u) == (points, dim)
     assert shapes == [echelon]
     assert elapsed < 30.0

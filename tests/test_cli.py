@@ -5,11 +5,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from symrees.cli import main
-from oracles import from_dict
+from symrees.cli import _payload_problem, main
+from oracles import enumerate_points, from_dict, jet_rows, lattice_reverify_witness
 from symrees.lattice import DeltaRegion, LatticePoint
 from symrees.records import CSV_COLUMNS, from_verdict, to_dict
 from symrees.presentation import CurveTriple, compute_presentation
@@ -370,7 +371,6 @@ def test_witness_verify_refuses_a_huge_order_before_any_recheck(capsys, tmp_path
         raise AssertionError("re-check run on a non-certificate")
 
     monkeypatch.setattr("symrees.cli.shift_membership_test", no_recheck)
-    monkeypatch.setattr("symrees.cli.curve_substitution_zero", no_recheck)
     code, _, err = _verify_file(capsys, tmp_path, json.dumps({**payload, "order": 10**18}))
     assert code == 4
     assert err == f"FAIL: order is {10**18}, not 3\n"
@@ -451,13 +451,116 @@ def test_witness_verify_refuses_a_triple_outside_the_hypotheses(capsys, tmp_path
         raise AssertionError("re-check run outside the hypotheses")
 
     monkeypatch.setattr("symrees.cli.shift_membership_test", no_recheck)
-    monkeypatch.setattr("symrees.cli.curve_substitution_zero", no_recheck)
     code, out, err = run_cli(capsys, "witness", "3", "5", "4", "--verify", str(path))
     assert (code, out) == (2, "")
     assert err == "inapplicable: u^2*c < a*b fails: the candidate generator is not a negative curve\n"
     monkeypatch.undo()
     for command in ("classify", "witness"):
         assert run_cli(capsys, command, "3", "5", "4")[0] == 2
+
+
+CURVE_LINE = "reconstructed polynomial does not vanish on the curve"
+MEMBERSHIP_LINE = "shift-substitution membership fails"
+EXPANSION_LINE = "monomials are not the expansion of the lattice coefficients"
+
+
+def _lattice_file(pres, coeffs, monomials=None):
+    """A witness payload of the lattice terms ``coeffs`` and, by default, their expansion."""
+    region = DeltaRegion(pres, 1)
+    if monomials is None:
+        monomials = {region.monomial_exponents(pt): c for pt, c in coeffs.items()}
+    return {
+        "triple": [pres.a, pres.b, pres.c],
+        "e": 1,
+        "order": pres.u,
+        "degree": pres.a * pres.b,
+        "lattice_coefficients": [
+            {"alpha": al, "beta": be, "coefficient": str(c)} for (al, be), c in coeffs.items()
+        ],
+        "monomials": [
+            {"x": x, "y": y, "z": z, "coefficient": str(c)} for (x, y, z), c in monomials.items()
+        ],
+    }
+
+
+def _below_order_u(pres, coeffs):
+    """``coeffs`` plus v^al w^be (v-1)^i (w-1)^(u-1-i), the first such box in the triangle off (0, 0).
+
+    The box term lies in (v-1, w-1)^(u-1) and in no higher power, so a
+    witness plus it has constant coefficient 1 and order u-1 exactly.
+    """
+    points = enumerate_points(pres)
+    inside = set(points)
+    for i in range(pres.u):
+        m = pres.u - 1 - i
+        for al, be in points:
+            box = [(p, q) for p in range(i + 1) for q in range(m + 1)]
+            corners = [LatticePoint(al + p, be + q) for p, q in box]
+            if LatticePoint(0, 0) in corners or not inside.issuperset(corners):
+                continue
+            out = dict(coeffs)
+            for (p, q), pt in zip(box, corners):
+                term = (-1) ** (i - p + m - q) * math.comb(i, p) * math.comb(m, q)
+                out[pt] = out.get(pt, 0) + term
+            return {pt: c for pt, c in out.items() if c}
+    raise AssertionError(f"no box of u = {pres.u} points fits the triangle of {pres.triple}")
+
+
+@pytest.mark.parametrize("triple", [(8, 19, 9), (5883, 4379, 1466), (2187, 373, 253)])
+def test_witness_verify_on_the_monomials_refuses_what_the_lattice_test_refused(
+    capsys, tmp_path, triple
+):
+    # the order-u test on f(1, y, z) replaces the one on phi(v, w) and the
+    # order-1 curve test: on each forgery the verifier prints the lines of
+    # the lattice oracle without the curve line, and without the membership
+    # line when the monomials are not the expansion (membership is then not
+    # tested); every forgery is refused by both
+    pres = compute_presentation(CurveTriple(*triple))
+    region = DeltaRegion(pres, 1)
+    a, b, _ = triple
+    emitted = tmp_path / "emitted.json"
+    assert run_cli(capsys, "witness", *map(str, triple), "--out", str(emitted))[0] == 0
+    payload = json.loads(emitted.read_text())
+    _, terms = _payload_problem(payload)
+    coeffs = {LatticePoint(*pt): c for pt, c in terms["lattice_coefficients"].items()}
+    last = max(pt for pt in coeffs if pt != (0, 0))
+    changed = {**coeffs, last: coeffs[last] + 1}
+    dropped = {pt: c for pt, c in coeffs.items() if pt != last}
+    outside = {**coeffs, LatticePoint(0, 1): Fraction(1)}  # column 0 holds only (0, 0)
+    below = _below_order_u(pres, coeffs)
+    columns = [region.monomial_exponents(pt) for pt in below]
+    scale = math.lcm(*(c.denominator for c in below.values()))
+    weights = [int(c * scale) for c in below.values()]
+    orders = [q + r for q in range(pres.u) for r in range(pres.u - q)]  # jet_rows order
+    jets = {order for order, row in zip(orders, jet_rows(columns, pres.u)) if sum(map(mul, row, weights))}
+    assert jets == {pres.u - 1}  # in p^(u-1), not in p^(u)
+    forgeries = {
+        "emitted": payload,
+        "changed coefficient": _lattice_file(pres, changed),
+        "dropped term": _lattice_file(pres, dropped),
+        "point outside the triangle": _lattice_file(pres, outside),
+        "order u-1": _lattice_file(pres, below),
+        "x^b - y^a": _lattice_file(pres, coeffs, {(b, 0, 0): 1, (0, a, 0): -1}),
+        "lattice coefficient changed alone": _lattice_file(pres, changed, terms["monomials"]),
+    }
+    lines = {}
+    for name, forged in forgeries.items():
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forged))
+        old = lattice_reverify_witness(pres, forged, _payload_problem(forged)[1])
+        want = [
+            line for line in old
+            if line != CURVE_LINE and not (line == MEMBERSHIP_LINE and EXPANSION_LINE in old)
+        ]
+        code, out, err = run_cli(capsys, "witness", *map(str, triple), "--verify", str(path))
+        assert (code, out, err) == (
+            (4, "", "".join(f"FAIL: {line}\n" for line in want)) if old else (0, "witness verifies\n", "")
+        ), name
+        assert bool(old) is (name != "emitted"), name
+        lines[name] = old
+    assert lines["order u-1"] == [MEMBERSHIP_LINE]
+    assert lines["x^b - y^a"] == [EXPANSION_LINE]
+    assert {MEMBERSHIP_LINE, EXPANSION_LINE} <= set(lines["lattice coefficient changed alone"])
 
 
 def test_witness_absent(capsys):

@@ -346,7 +346,6 @@ def test_gk_verdict_with_witness_wanted_matches_point_system(monkeypatch, valida
             classify(p.triple),
             points=points,
             dim_piece_u=points - rank,
-            witness_exists=exists,
             noetherian=exists,
             witness=witness,
         ), p.triple
@@ -379,5 +378,5 @@ def test_witness_request_without_a_criterion_is_decided_before_points(monkeypatc
     monkeypatch.setattr(symrees.witness, "LatticePoint", no_points)
     for p, (v, (points, rank, exists, _)) in zip(sample, want):
         assert not (v.eu.holds or v.gk.holds or exists), p.triple
-        assert (v.points, v.dim_piece_u, v.witness_exists) == (points, points - rank, exists)
+        assert (v.points, v.dim_piece_u, v.noetherian) == (points, points - rank, exists)
         assert classify(p.triple, want_witness=True) == v, p.triple

@@ -111,7 +111,7 @@ def test_witness_existence_worked_examples():
     # a witness is extracted exactly when one exists
     for triple, exists in [((8, 19, 9), True), ((25, 29, 72), False), ((17, 503, 169), False)]:
         v = classify(CurveTriple(*triple), want_witness=True)
-        assert v.witness_exists is exists and (v.witness is not None) is exists, triple
+        assert v.noetherian is exists and (v.witness is not None) is exists, triple
 
 
 def test_extracted_witness_8_19_9():
@@ -288,7 +288,7 @@ def test_witness_decision_matches_direct_kernel_inspection(validated_30):
         system = build_matrix(points, p.u)
         j = points.index(LatticePoint(0, 0))
         direct = any(vec[j] != 0 for vec in system.base.null_space())
-        assert classify(p.triple).witness_exists == direct, p.triple
+        assert classify(p.triple).noetherian == direct, p.triple
 
 
 def test_lazy_echelon_matches_eager_on_witness_systems(validated_30):
@@ -317,7 +317,7 @@ def test_classify_witness_matches_rref_oracle(validated_30):
     for p in sample:
         v = classify(p.triple, want_witness=True)
         exists, dim, coeffs = _oracle_witness(p)
-        assert (v.witness_exists, v.dim_piece_u) == (exists, dim), p.triple
+        assert (v.noetherian, v.dim_piece_u) == (exists, dim), p.triple
         if exists:
             assert list(v.witness.coefficients.items()) == list(coeffs.items()), p.triple
             for c in v.witness.coefficients.values():
@@ -330,12 +330,12 @@ def test_classify_witness_matches_rref_oracle(validated_30):
 
 def test_classify_worked_examples():
     v = classify(CurveTriple(8, 19, 9))
-    assert v.noetherian is True and v.witness_exists is True
+    assert v.noetherian is True
     assert v.eu.holds and not v.gk.holds
     assert (v.points, v.dim_piece_u) == (11, 5)
 
     v = classify(CurveTriple(25, 29, 72))
-    assert v.noetherian is False and v.witness_exists is False
+    assert v.noetherian is False
     assert not v.eu.holds and v.gk.five_way.value == "GK3"
     assert v.points == 6
 
@@ -350,7 +350,6 @@ def test_pure_witness_decision_when_no_criterion_fires():
     for triple, dim in [((11, 58, 13), 0), ((58, 11, 13), 0), ((19, 60, 17), 1)]:
         v = classify(CurveTriple(*triple))
         assert not v.eu.holds and not v.gk.holds, triple
-        assert v.witness_exists is False
         assert v.noetherian is False
         assert v.dim_piece_u == dim, triple
 
@@ -358,7 +357,6 @@ def test_pure_witness_decision_when_no_criterion_fires():
 def test_classify_inapplicable_cases():
     v = classify(CurveTriple(6, 10, 15))
     assert v.noetherian is None and "coprime" in v.reason
-    assert v.witness_exists is None
 
     v = classify(CurveTriple(2, 3, 5))
     assert v.noetherian is None and "three binomials" in v.reason
@@ -444,10 +442,10 @@ def test_classify_back_substitutes_the_witness_without_elimination(monkeypatch, 
         gk = verdicts[-1].gk.holds
         got = tuple(calls[name] for name in names)
         assert got == ((0, 0, 1, 1) if gk else (1, 0, 0, 0)), p.triple
-        assert verdicts[-1].witness_exists is not gk, p.triple
+        assert verdicts[-1].noetherian is not gk, p.triple
     assert any(v.gk.holds for v in verdicts) and not all(v.gk.holds for v in verdicts)
     monkeypatch.undo()
-    with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.witness_exists]
+    with_witness = [(p, v) for p, v in zip(sample, verdicts) if v.noetherian]
     for p, v in with_witness:
         assert v.witness == classify(p.triple, want_witness=True).witness, p.triple
         assert v.points - v.dim_piece_u == p.u * (p.u + 1) // 2, p.triple
@@ -496,11 +494,10 @@ def test_verdicts_match_criteria_on_validated_pool(validated_30):
     for p in validated_30[::5]:
         v = classify(p.triple)
         assert isinstance(v, Verdict)
-        assert v.noetherian == v.witness_exists
         if v.eu.holds:
-            assert v.witness_exists
+            assert v.noetherian
         if v.gk.holds:
-            assert not v.witness_exists
+            assert not v.noetherian
 
 
 def test_verdict_invariant_under_ab_swap():

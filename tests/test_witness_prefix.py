@@ -97,7 +97,7 @@ def assert_matches_point_system(p):
     """
     want = point_system_witness(p)
     v = classify(p.triple, want_witness=True)
-    assert_same_witness((v.points, v.points - v.dim_piece_u, v.witness_exists, v.witness), want, p.triple)
+    assert_same_witness((v.points, v.points - v.dim_piece_u, v.noetherian, v.witness), want, p.triple)
     assert staircase(p) is want[2], p.triple
     return want
 
@@ -240,7 +240,7 @@ def test_kept_counts_are_u_to_1_exactly_when_eu_holds(validated_40, no_fallback)
         eu = check_eu(p).holds
         assert staircase(p) is eu, p.triple
         if not eu:
-            assert not classify(p.triple, want_witness=True).witness_exists, p.triple
+            assert not classify(p.triple, want_witness=True).noetherian, p.triple
 
 
 def test_eu_profile_whose_kept_counts_are_not_u_to_1(monkeypatch, validated_30):
