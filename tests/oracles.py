@@ -523,12 +523,11 @@ def curve_substitution_fraction(poly, weights) -> bool:
 
 
 def lattice_reverify_witness(pres, payload: dict, terms: dict) -> list[str]:
-    """The re-checks of ``symrees witness --verify`` as they were with order-u
-    membership tested on the lattice coefficients, phi(v, w), and the
-    monomials tested at order 1 only, by the curve substitution.
+    """The re-checks of ``symrees witness --verify`` with order-u membership on the lattice terms.
 
-    The package tests the monomials themselves, f(1, y, z), at order u,
-    once they are the expansion, and runs no curve test.
+    phi(v, w) is tested at order u and the monomials at order 1 only, by the
+    curve substitution.  The package tests the monomials themselves,
+    f(1, y, z), at order u once they are the expansion, and runs no curve test.
     """
     a, b, c = payload["triple"]
     certificate = {"e": 1, "order": pres.u, "degree": a * b}
@@ -603,8 +602,8 @@ def jet_decision(weights, d: int, n: int) -> tuple[int, int, bool]:
         columns.remove(pure)
         columns.append(pure)
     reduced = _echelon(jet_rows(columns, n), len(columns))
-    last = bool(reduced.pivots) and reduced.pivots[-1] == len(columns) - 1
-    return len(columns), reduced.rank, last and columns[-1] == pure
+    pivot = reduced.pivots[-1:] == [len(columns) - 1]
+    return len(columns), reduced.rank, pivot and columns[-1] == pure
 
 
 def falling_factorial(n: int, k: int) -> int:
