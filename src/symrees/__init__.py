@@ -37,8 +37,6 @@ from .polynomials import (  # noqa: F401
     FamilyRejectionError,
     SparsePoly,
     build_generators,
-    build_xi,
-    build_zeta,
     check_minor_relations,
     curve_substitution_zero,
     generate_family,

@@ -11,7 +11,10 @@ order-u membership on the file's x, y, z monomials, not on the lattice terms.
 Every command exits 4 on an unexpected error (an exception none of the
 above covers, such as a failed exact division or running out of memory),
 with one `internal error: <type>: <message>` line on stderr, so that it is
-never read as "not Noetherian".
+never read as "not Noetherian".  A reader of stdout that has gone (as with
+`| head -c 0`) changes no exit code and writes nothing to stderr, whether
+stdout is buffered or not: the rest of the output goes to os.devnull, and
+`scan`, which stops writing there, exits 0.
 """
 
 from __future__ import annotations
@@ -80,6 +83,21 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _print(*args, **kwargs) -> None:
+    """``print`` to stdout; once its reader has gone, stdout is os.devnull.
+
+    So the command goes on to its own exit code: an unbuffered stdout fails
+    at a print, a buffered one at the flush that ``main`` makes before it
+    returns (after it, at exit, the failure would cost code 120).
+    """
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="symrees", description=__doc__)
     parser.add_argument("--version", action="version", version=f"symrees {__version__}")
@@ -132,9 +150,9 @@ def _cmd_classify(args) -> int:
     timing = (time.perf_counter() - start) * 1000.0
     record = from_verdict(verdict, timing_ms=round(timing, 3))
     if args.table:
-        print(human_table(record))
+        _print(human_table(record))
     else:
-        print(json.dumps(to_dict(record)))
+        _print(json.dumps(to_dict(record)))
     if verdict.noetherian is None:
         return 2
     return 0 if verdict.noetherian else 1
@@ -171,7 +189,7 @@ def _cmd_piece_dim(args) -> int:
         return 3
     points, dim = _points_and_dimension(compute_presentation(triple), args.e, args.n)
     constraints = args.n * (args.n + 1) // 2  # derivative orders (k, l), k + l < n
-    print(json.dumps({
+    _print(json.dumps({
         "triple": [args.a, args.b, args.c],
         "e": args.e,
         "n": args.n,
@@ -308,7 +326,7 @@ def _cmd_witness(args) -> int:
             for msg in problems:
                 print(f"FAIL: {msg}", file=sys.stderr)
             return 4
-        print("witness verifies")
+        _print("witness verifies")
         return 0
 
     verdict = classify(CurveTriple(args.a, args.b, args.c), want_witness=True)
@@ -330,7 +348,7 @@ def _cmd_witness(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
     return 0
 
 
@@ -344,31 +362,31 @@ def _cmd_verify_family(args) -> int:
     a, b, c = p.a, p.b, p.c
     gcd_abc = math.gcd(a, b, c)
     coprime = p.triple.pairwise_coprime()
-    print(f"parameters   alpha={params.alpha} beta={params.beta} m={params.m} n={params.n}")
-    print(f"exponents    s2={p.s2} s3={p.s3} t1=1 t3=1 u1={p.u1} u2={p.u2}")
-    print(f"weights      (a, b, c) = ({a}, {b}, {c}), gcd = {gcd_abc}, "
-          f"pairwise coprime = {coprime}")
+    _print(f"parameters   alpha={params.alpha} beta={params.beta} m={params.m} n={params.n}")
+    _print(f"exponents    s2={p.s2} s3={p.s3} t1=1 t3=1 u1={p.u1} u2={p.u2}")
+    _print(f"weights      (a, b, c) = ({a}, {b}, {c}), gcd = {gcd_abc}, "
+           f"pairwise coprime = {coprime}")
     if math.gcd(params.m, params.n) != 1:
-        print(f"warning: m={params.m} and n={params.n} are not coprime")
+        _print(f"warning: m={params.m} and n={params.n} are not coprime")
     if gcd_abc != 1:
-        print(f"warning: gcd(a, b, c) = {gcd_abc} != 1 "
-              f"(needs m odd and further coprimality of the scales); "
-              f"the infinite-generation conclusion does not apply")
+        _print(f"warning: gcd(a, b, c) = {gcd_abc} != 1 "
+               f"(needs m odd and further coprimality of the scales); "
+               f"the infinite-generation conclusion does not apply")
     elif not coprime:
-        print("warning: a, b, c are not pairwise coprime; "
-              "the infinite-generation conclusion does not apply")
+        _print("warning: a, b, c are not pairwise coprime; "
+               "the infinite-generation conclusion does not apply")
     checks = verify_family_report(params)
     failed = [chk for chk in checks if not chk.ok]
     for chk in checks:
         status = "PASS" if chk.ok else "FAIL"
         detail = f"  [{chk.detail}]" if chk.detail else ""
-        print(f"[{status}] {chk.label}{detail}")
+        _print(f"[{status}] {chk.label}{detail}")
     if failed:
         return 4
     if coprime:
-        print("conclusion: symbolic Rees ring of p(a, b, c) is infinitely generated")
-        print("note: the negative curve sits in the second symbolic power, outside the "
-              "classifier hypotheses; `classify` deliberately reports inapplicable here")
+        _print("conclusion: symbolic Rees ring of p(a, b, c) is infinitely generated")
+        _print("note: the negative curve sits in the second symbolic power, outside the "
+               "classifier hypotheses; `classify` deliberately reports inapplicable here")
     return 0
 
 
@@ -390,9 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
-    except BrokenPipeError:  # downstream reader (e.g. head) closed the stream
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # scan's reader (e.g. head) has gone; the flush below silences stdout
         return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -403,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a defect, not a verdict: never exit 1 with a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _print(end="", flush=True)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ member has weights a = t3*u1 + t1*u, b = s3*u2 + s2*u, c = s2*t3 + s3*t that
 may share factors.  Coefficients are exact (int or Fraction); there is no
 floating point.
 
-The family's colength counts work modulo x, where the slice of a product is
-the product of the slices: the staircases are products of the slices of the
+The family's elements xi and zeta are built by ``_xi`` and ``_zeta``, which
+only ``verify_family_report`` calls; it reports each failed clause, data
+outside the construction range included, as a FAIL line rather than raising.
+Its colength counts work modulo x, where the slice of a product is the
+product of the slices: the staircases are products of the slices of the
 elements f, g, h, xi and zeta that the report builds, so they certify
 p^(2) = (p^2, xi) and p^(3) = (p^3, p xi, zeta) modulo x.
 """
@@ -35,10 +38,6 @@ class NotDivisibleError(ArithmeticError):
         self.mono = mono
 
 
-class HypothesisViolationError(ValueError):
-    """Exponent data outside the range required by a construction."""
-
-
 class SparsePoly:
     """Sparse exact polynomial in x, y, z.
 
@@ -51,10 +50,6 @@ class SparsePoly:
 
     def __init__(self, terms: Mapping[Expt, int | Fraction] | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def monomial(cls, coeff, ex: int, ey: int, ez: int) -> "SparsePoly":
-        return cls({(ex, ey, ez): coeff})
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
@@ -184,10 +179,12 @@ def check_minor_relations(f: SparsePoly, g: SparsePoly, h: SparsePoly, p: Herzog
 
 
 def _xi(p: HerzogPresentation, f, g, h) -> tuple[SparsePoly, bool, bool]:
-    """xi = (z^(u2-u1) f^2 - g h) / x^s3 with its (companion, slice) clauses.
+    """The one routine for xi = (z^(u2-u1) f^2 - g h) / x^s3: (xi, companion, slice).
 
-    Companion: z^u1 xi = x^(s2-s3) h^2 - f g; slice: xi = y^3 mod (x).
-    Raises NotDivisibleError when x^s3 does not divide the numerator.
+    Companion: z^u1 xi = x^(s2-s3) h^2 - f g; slice: xi = y^3 mod (x).  The
+    exponent range is not checked: outside it a clause is False or
+    NotDivisibleError is raised when x^s3 does not divide the numerator, and
+    ``verify_family_report`` turns either into a FAIL line.
     """
     xi = (_z(p.u2 - p.u1) * f * f - g * h).divide_exact((p.s3, 0, 0))
     companion = (_z(p.u1) * xi - (_x(p.s2 - p.s3) * h * h - f * g)).is_zero()
@@ -195,55 +192,16 @@ def _xi(p: HerzogPresentation, f, g, h) -> tuple[SparsePoly, bool, bool]:
 
 
 def _zeta(p: HerzogPresentation, f, h, xi) -> tuple[SparsePoly, bool, bool]:
-    """zeta = (f^3 + z^(2u1-u2) h xi) / x^s3 with its (companion, slice) clauses.
+    """The one routine for zeta = (f^3 + z^(2u1-u2) h xi) / x^s3: (zeta, companion, slice).
 
     Companion: z^(u2-u1) zeta = f xi + x^(s2-2s3) h^3; slice:
-    zeta = -y^4 z^(2u1-u2) mod (x).  Raises NotDivisibleError when x^s3 does
-    not divide the numerator.
+    zeta = -y^4 z^(2u1-u2) mod (x).  As for ``_xi``, the exponent range is
+    not checked, and NotDivisibleError is raised when x^s3 does not divide
+    the numerator.
     """
     zeta = (f ** 3 + _z(2 * p.u1 - p.u2) * h * xi).divide_exact((p.s3, 0, 0))
     companion = (_z(p.u2 - p.u1) * zeta - (f * xi + _x(p.s2 - 2 * p.s3) * h ** 3)).is_zero()
     return zeta, companion, zeta.slice_x0() == {(4, 2 * p.u1 - p.u2): -1}
-
-
-def build_xi(p: HerzogPresentation) -> SparsePoly:
-    """Order-2 symbolic power element: xi = (z^(u2-u1) f^2 - g h) / x^s3.
-
-    Requires s2 > s3, t1 = t3 = 1, u1 < u2.  Verifies on the way that
-    z^u1 xi = x^(s2-s3) h^2 - f g and that xi is y^3 mod (x).
-    """
-    if not (p.s2 > p.s3 and p.t1 == 1 and p.t3 == 1 and p.u1 < p.u2):
-        raise HypothesisViolationError(
-            f"need s2 > s3, t1 = t3 = 1, u1 < u2; got s2={p.s2}, s3={p.s3}, "
-            f"t1={p.t1}, t3={p.t3}, u1={p.u1}, u2={p.u2}"
-        )
-    xi, companion, slice_ok = _xi(p, *build_generators(p))
-    if not companion:
-        raise AssertionError("companion identity for xi failed")
-    if not slice_ok:
-        raise AssertionError("xi is not y^3 mod (x)")
-    return xi
-
-
-def build_zeta(p: HerzogPresentation, xi: SparsePoly) -> SparsePoly:
-    """Order-3 element: zeta = (f^3 + z^(2u1-u2) h xi) / x^s3.
-
-    Requires s2 > 2*s3, t1 = t3 = 1, u1 < u2 < 2*u1.  Verifies
-    z^(u2-u1) zeta = f xi + x^(s2-2s3) h^3 and zeta = -y^4 z^(2u1-u2)
-    mod (x).
-    """
-    if not (p.s2 > 2 * p.s3 and p.t1 == 1 and p.t3 == 1 and p.u1 < p.u2 < 2 * p.u1):
-        raise HypothesisViolationError(
-            f"need s2 > 2*s3, t1 = t3 = 1, u1 < u2 < 2*u1; got s2={p.s2}, "
-            f"s3={p.s3}, u1={p.u1}, u2={p.u2}"
-        )
-    f, _, h = build_generators(p)
-    zeta, companion, slice_ok = _zeta(p, f, h, xi)
-    if not companion:
-        raise AssertionError("companion identity for zeta failed")
-    if not slice_ok:
-        raise AssertionError("zeta is not -y^4 z^(2u1-u2) mod (x)")
-    return zeta
 
 
 class InfiniteColengthError(ValueError):

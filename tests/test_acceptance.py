@@ -16,9 +16,9 @@ from symrees.criteria import GkClause
 from symrees.lattice import LatticePoint
 from symrees.linalg import _echelon
 from symrees.polynomials import (
+    _xi,
+    _zeta,
     build_generators,
-    build_xi,
-    build_zeta,
     check_minor_relations,
     generate_family,
     is_negative_curve,
@@ -85,8 +85,9 @@ def test_criterion_4_family_instance():
         assert p.triple == CurveTriple(16, 683, 97)
         f, g, h = build_generators(p)
         assert check_minor_relations(f, g, h, p)
-        xi = build_xi(p)  # clauses (i)-(iii) verified inside
-        build_zeta(p, xi)
+        xi, *xi_clauses = _xi(p, f, g, h)
+        _, *zeta_clauses = _zeta(p, f, h, xi)
+        assert xi_clauses == zeta_clauses == [True, True]  # companion and slice
         # the staircases the report derives from f, g, h, xi and zeta
         order2, order3, product = report_staircases(params)
         assert staircase_length(order2) == 48 == 3 * p.a

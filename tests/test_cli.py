@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -707,3 +708,34 @@ def test_verify_family_report_is_pinned(argv, code, out, err):
         [sys.executable, "-m", "symrees", "verify-family", *argv], capture_output=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "319", "1339", "1867"], 1),
+        (["classify", "2", "3", "5"], 2),
+        (["classify", "8", "19", "9"], 0),
+        (["piece-dim", "8", "19", "9", "--n", "3"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # the reader of stdout has gone before the first byte: a buffered stdout
+    # fails at the last flush, an unbuffered one at the first print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symrees", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")

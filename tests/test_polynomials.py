@@ -17,15 +17,16 @@ from oracles import (
 )
 from symrees.cli import main
 from symrees.polynomials import (
+    FamilyCheck,
+    FamilyParams,
     FamilyRejectionError,
-    HypothesisViolationError,
     InfiniteColengthError,
     NotDivisibleError,
     SparsePoly,
     _times,
+    _xi,
+    _zeta,
     build_generators,
-    build_xi,
-    build_zeta,
     check_minor_relations,
     curve_substitution_zero,
     generate_family,
@@ -41,8 +42,8 @@ def family_16_683_97():
 
 
 def test_sparse_poly_arithmetic():
-    x = SparsePoly.monomial(1, 1, 0, 0)
-    y = SparsePoly.monomial(1, 0, 1, 0)
+    x = SparsePoly({(1, 0, 0): 1})
+    y = SparsePoly({(0, 1, 0): 1})
     p = (x + y) * (x - y)
     assert p == SparsePoly({(2, 0, 0): 1, (0, 2, 0): -1})
     assert (p - p).is_zero()
@@ -88,41 +89,68 @@ def test_minor_relations():
 def test_minor_relations_detect_mutation():
     p = family_16_683_97().presentation
     f, g, h = build_generators(p)
-    broken = f + SparsePoly.monomial(1, 0, 0, 0)
+    broken = f + SparsePoly({(0, 0, 0): 1})
     assert not check_minor_relations(broken, g, h, p)
 
 
 def test_xi_identities_and_degree():
     p = family_16_683_97().presentation
-    xi = build_xi(p)  # raises if clauses (i)-(iii) fail
+    xi, companion, slice_ok = _xi(p, *build_generators(p))
+    assert companion and slice_ok
     assert xi.slice_x0() == {(3, 0): 1}
     assert xi.weighted_degree((16, 683, 97)) == 2049 == 3 * p.b
     assert is_negative_curve(2049, 2, (16, 683, 97))  # 2049^2 < 4*16*683*97
 
 
-def test_xi_hypothesis_gate():
-    pres = compute_presentation(CurveTriple(8, 19, 9))  # t1 = 2
-    with pytest.raises(HypothesisViolationError):
-        build_xi(pres)
-
-
 def test_zeta_identities():
     p = family_16_683_97().presentation
-    zeta = build_zeta(p, build_xi(p))
+    f, g, h = build_generators(p)
+    zeta, companion, slice_ok = _zeta(p, f, h, _xi(p, f, g, h)[0])
+    assert companion and slice_ok
     assert zeta.slice_x0() == {(4, 4): -1}  # 2u1 - u2 = 4
     assert zeta.weighted_degree((16, 683, 97)) == 4 * p.b + 4 * p.c == 3120
 
 
-def test_zeta_hypothesis_gate():
-    # u2 = 5 >= 2*u1 = 4 violates the construction range
-    bad = HerzogPresentation(CurveTriple(9, 59, 11), 9, 2, 7, s2=7, s3=2, t1=1, t3=1, u1=2, u2=5)
-    with pytest.raises(HypothesisViolationError):
-        build_zeta(bad, SparsePoly({(0, 3, 0): 1}))
-
-
 def test_admissible_parameters_always_pass_the_gates():
     p = generate_family(Fraction(6, 5), Fraction(49, 24), 3, 2).presentation
-    build_zeta(p, build_xi(p))
+    f, g, h = build_generators(p)
+    xi, *xi_clauses = _xi(p, f, g, h)
+    _, *zeta_clauses = _zeta(p, f, h, xi)
+    assert xi_clauses == zeta_clauses == [True, True]
+
+
+def test_report_fails_data_outside_the_construction_range():
+    # u2 = 5 >= 2*u1 = 4: xi is built, but 2u1 - u2 = -1 leaves z^-1 in
+    # the order-3 numerator, which x^s3 does not divide
+    zeta_out = HerzogPresentation(
+        CurveTriple(9, 59, 11), 9, 2, 7, s2=7, s3=2, t1=1, t3=1, u1=2, u2=5
+    )
+    assert verify_family_report(FamilyParams(Fraction(5, 2), Fraction(7, 2), 1, 1, zeta_out)) == [
+        FamilyCheck("generator syzygies", True),
+        FamilyCheck("exponent inequalities s2 > 2*s3, u1 < u2 < 2*u1", False),
+        FamilyCheck("order-2 element: x^s3 divides z^(u2-u1) f^2 - g h", True),
+        FamilyCheck("order-2 companion: z^u1 xi = x^(s2-s3) h^2 - f g", True),
+        FamilyCheck("order-2 slice: xi = y^3 mod (x)", True),
+        FamilyCheck(
+            "order-2 element is a negative curve", False, "deg^2 = 31329 vs 4abc = 23364"
+        ),
+        FamilyCheck(
+            "order-3 element: x^s3 divides f^3 + z^(2u1-u2) h xi",
+            False,
+            "term x^2 y^4 z^-1 not divisible by (2, 0, 0)",
+        ),
+    ]
+    # t1 = 2 and u2 = 1 < u1 = 2: the order-2 numerator has the term y^3 z^3
+    xi_out = compute_presentation(CurveTriple(8, 19, 9))
+    assert verify_family_report(FamilyParams(Fraction(1, 2), Fraction(6), 1, 1, xi_out)) == [
+        FamilyCheck("generator syzygies", True),
+        FamilyCheck("exponent inequalities s2 > 2*s3, u1 < u2 < 2*u1", False),
+        FamilyCheck(
+            "order-2 element: x^s3 divides z^(u2-u1) f^2 - g h",
+            False,
+            "term x^0 y^3 z^3 not divisible by (1, 0, 0)",
+        ),
+    ]
 
 
 def test_staircase_lengths():
@@ -287,9 +315,11 @@ def test_family_identities_hold_across_parameter_box():
             assert chk.ok, (params.alpha, params.beta, params.m, params.n, chk.label)
         p = params.presentation
         weights = (p.a, p.b, p.c)
-        xi = build_xi(p)
+        f, g, h = build_generators(p)
+        xi, *xi_clauses = _xi(p, f, g, h)
         assert xi.weighted_degree(weights) == 3 * p.b
-        zeta = build_zeta(p, xi)
+        zeta, *zeta_clauses = _zeta(p, f, h, xi)
+        assert xi_clauses == zeta_clauses == [True, True]
         expected = 4 * p.b + (2 * p.u1 - p.u2) * p.c
         assert zeta.weighted_degree(weights) == expected
 
