@@ -2,35 +2,36 @@
 
 All computations here are over the integers (Python ``int``), with no
 floating point anywhere: the verdicts built on top of this module are exact
-yes/no statements.  There is one elimination routine, ``_echelon``:
-fraction-free Bareiss elimination of integer rows to an echelon form.  Rank
-and pivot columns are read from it, and so are kernel vectors (one exact
+yes/no statements.  There is one elimination routine, ``_echelon``: integer
+row reduction to an echelon form in which every stored row is the primitive
+integer vector of its line (its entries have gcd 1).  Rank and pivot
+columns are read from it, and so are kernel vectors (one exact
 back-substitution per free column).  A column lies in the span of the
 columns before it exactly when it is not a pivot, which is how the witness
 test reads its verdict.  Its work follows the nonzero entries: a row is
 touched only where it has an entry in the pivot column (rows wait in buckets
-by leading column), and rows are rescaled lazily; under its pivot rule
-(smallest true magnitude, lowest input row on ties) its output is that of
-the eagerly rescaled kernel that the tests keep as an oracle.
-The pivot columns of any echelon form are those of the unique reduced row
-echelon form, so the kernel basis read here is the canonical one.
+by leading column).  The pivot columns of any echelon form are those of the
+unique reduced row echelon form, so the kernel basis read here is the
+canonical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
+from math import gcd
 
 
 @dataclass(frozen=True)
 class Echelon:
-    """A fraction-free row echelon form U of a matrix, with its pivot columns.
+    """A row echelon form U of an integer matrix, with its pivot columns.
 
-    ``rows`` are the nonzero rows of U: integer rows spanning the row space
-    of the input, row k zero before column ``pivots[k]``, in the order the
-    pivots were chosen (smallest true magnitude, lowest input row on ties).
-    The pivot columns of any echelon form are those of the reduced row
-    echelon form (RREF), so rank and free columns are read off here.
+    ``rows`` are the nonzero rows of U, each the primitive integer vector of
+    its line: they span the row space of the input, row k is zero before
+    column ``pivots[k]``, and they come in the order the pivots were chosen
+    (smallest magnitude, lowest input row on ties).  The pivot columns of any
+    echelon form are those of the reduced row echelon form (RREF), so rank
+    and free columns are read off here.
     """
 
     rows: list[list[int]]
@@ -42,99 +43,88 @@ class Echelon:
         return len(self.pivots)
 
     def kernel_vector(self, fc: int) -> list[int]:
-        """Integer multiple of the canonical kernel vector of free column fc.
+        """The primitive integer multiple of the canonical kernel vector of free column fc.
 
         The canonical vector is 1 at fc, 0 at the other free columns, and
-        solves U_P x_P = -U[:, fc] on the pivot columns P.  Scaled by the last
-        pivot (a maximal minor), it is integral, so back-substitution divides
-        exactly.
+        solves U_P x_P = -U[:, fc] on the pivot columns P.  Back-substitution
+        keeps x integral and primitive, positive at fc: the pivot entry p and
+        the row's total t are divided by g = gcd(p, t), and the entries
+        already set are multiplied by |p| / g only when that exceeds 1.
         """
         if fc in self.pivots:
             raise ValueError("column is not free")
-        scale = self.rows[-1][self.pivots[-1]] if self.rows else 1
         x = [0] * self.cols
-        x[fc] = scale
-        for k in range(len(self.pivots) - 1, -1, -1):
-            row = self.rows[k]
-            total = row[fc] * scale
-            for pc in self.pivots[k + 1:]:
-                if x[pc]:
-                    total += row[pc] * x[pc]
-            quot, rem = divmod(-total, row[self.pivots[k]])
-            if rem:
-                raise ArithmeticError("back-substitution division failed")
-            x[self.pivots[k]] = quot
+        x[fc] = 1
+        done = [fc]
+        for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
+            total = sum(row[c] * x[c] for c in done if row[c])
+            if total:
+                p = row[pc]
+                g = gcd(p, total)
+                scale = abs(p) // g
+                if scale > 1:
+                    for c in done:
+                        x[c] *= scale
+                x[pc] = -total // g if p > 0 else total // g
+                done.append(pc)
         return x
 
 
 def _echelon(rows: list[list[int]], ncols: int) -> Echelon:
-    """Bareiss fraction-free elimination of integer rows to an Echelon.
+    """Integer elimination of rows to an Echelon of primitive rows.
 
     Takes ownership of ``rows``: they are reduced in place.  Pivot: the
-    smallest nonzero true magnitude in the column, the lowest input row
-    index winning ties; rows are never swapped.
-    Entries stay integral: the Bareiss update is (p*a - q*b) // prev_pivot
-    with exact division (the entries are minors of the input matrix).
+    smallest nonzero magnitude in the column, the lowest input row index
+    winning ties; rows are never swapped.  Every row is divided by its
+    content (the gcd of its entries) on entry, and a row r with entry q in
+    the column of the pivot row with entry p becomes (p/g)*r - (q/g)*pivot
+    row, g = gcd(p, q), divided by its content again.  So every stored row
+    is the primitive integer vector of its line, which keeps the same row
+    space and the same pivot columns.
 
     Only nonzero entries cost work.  The rows not yet pivoted are kept in
     buckets by their leading (first nonzero) column, so the rows with an
     entry in column col are exactly ``bucket[col]`` and a free column costs
     O(1).  A reduced row moves to the bucket of its new leading column, or
     is dropped when zero.
-
-    Row scaling is lazy.  A row whose pivot-column entry is zero would only
-    be multiplied by p / prev, so it is left as stored, together with the
-    divisor d it was last reduced with (1 at first).  The factors of a run of
-    skipped steps cancel to prev / d, so the true row is stored * prev // d.
-    A row with q != 0 is reduced as (p*a - q*b) // d from its stored entries,
-    which gives the same minor, and a pivot row is brought to its true form
-    once, when chosen.  Where d divides p and q, the division moves out of
-    the entry loop: (p*a - q*b) / d = (p/d)*a - (q/d)*b.  The pivots of the
-    witness systems are mostly +-1, so this holds for most updates.  Every
-    division is exact: the eager kernel divides exactly on the columns >=
-    col.  So rows and pivots are those of the eager kernel under the same
-    pivot rule.
     """
-    divs = [1] * len(rows)
     buckets: list[list[int]] = [[] for _ in range(ncols)]
     for idx, row in enumerate(rows):
         lead = next(compress(count(), row), None)
         if lead is not None:
+            rows[idx] = _primitive(row)
             buckets[lead].append(idx)
     reduced: list[list[int]] = []
     pivots: list[int] = []
-    prev = 1
     for col in range(ncols):
         bucket = buckets[col]
         if not bucket:
             continue
         if len(bucket) == 1:
-            pick = bucket[0]
-            others = ()
+            pr = rows[bucket[0]]
         else:
-            pick = min(bucket, key=lambda idx: (abs(rows[idx][col] * prev // divs[idx]), idx))
-            others = [idx for idx in bucket if idx != pick]
-        pr = rows[pick]
-        d = divs[pick]
-        if d != prev:
-            pr[col:] = [x * prev // d for x in pr[col:]]
-        p = pr[col]
-        pr_tail = pr[col:] if others else ()
-        for idx in others:
-            ri = rows[idx]
-            q = ri[col]
-            d = divs[idx]
-            if p % d or q % d:
-                tail = [(p * x - q * y) // d for x, y in zip(ri[col:], pr_tail)]
-            else:  # d divides p and q (d = 1 for a row never reduced)
-                pd, qd = p // d, q // d
-                tail = [pd * x - qd * y for x, y in zip(ri[col:], pr_tail)]
-            ri[col:] = tail
-            divs[idx] = p
-            lead = next(compress(count(col), tail), None)
-            if lead is not None:
-                buckets[lead].append(idx)
-        prev = p
+            pick = min(bucket, key=lambda idx: (abs(rows[idx][col]), idx))
+            pr = rows[pick]
+            p = pr[col]
+            pr_tail = pr[col:]
+            for idx in bucket:
+                if idx == pick:
+                    continue
+                ri = rows[idx]
+                q = ri[col]
+                g = gcd(p, q)
+                pg, qg = p // g, q // g
+                tail = _primitive([pg * x - qg * y for x, y in zip(ri[col:], pr_tail)])
+                ri[col:] = tail
+                lead = next(compress(count(col), tail), None)
+                if lead is not None:
+                    buckets[lead].append(idx)
         reduced.append(pr)
         pivots.append(col)
     return Echelon(rows=reduced, pivots=pivots, cols=ncols)
+
+
+def _primitive(values: list[int]) -> list[int]:
+    # values divided by their content; unchanged when that is 0 or 1
+    content = gcd(*values)
+    return [x // content for x in values] if content > 1 else values

@@ -3,7 +3,10 @@
 Workers share nothing mutable; results are merged back in input order, so
 the output stream is byte-identical for a given job regardless of the
 parallelism degree.  At most one worker process per CPU is started, however
-many jobs are asked for.  ``classify`` checks every verdict under validated
+many jobs are asked for, and at most ``_CHUNKS_PER_WORKER`` chunks of
+``_CHUNK`` triples per worker are in flight (queued, being classified, or
+classified and not yet read), so a slow reader keeps the parent's memory
+bounded.  ``classify`` checks every verdict under validated
 hypotheses against the proved cross-criteria implications; a violation
 raises InternalConsistencyError and aborts the scan, since it would falsify
 the implementation.
@@ -13,14 +16,17 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
+from collections import deque
 from dataclasses import dataclass
-from multiprocessing import Pool
+from itertools import islice
 from typing import Iterator
 
 from .presentation import CurveTriple
 from .records import VerdictRecord, from_verdict
 from .witness import classify
+
+_CHUNK = 64
+_CHUNKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,33 @@ def run_scan(job: ScanJob) -> Iterator[VerdictRecord]:
     """Classify every triple of the job; yields records in input order."""
     triples = iter_triples(job)
     workers = min(job.jobs, os.cpu_count() or 1)
-    with nullcontext() if workers == 1 else Pool(processes=workers) as pool:
-        if pool is None:
-            records = map(classify_one, triples)
-        else:
-            records = pool.imap(classify_one, triples, chunksize=64)
-        for record in records:
-            if _keep(record, job):
-                yield record
+    records = map(classify_one, triples) if workers == 1 else _pooled(triples, workers)
+    for record in records:
+        if _keep(record, job):
+            yield record
+
+
+def _classify_chunk(chunk: list[tuple[int, int, int]]) -> list[VerdictRecord]:
+    return [classify_one(triple) for triple in chunk]
+
+
+def _pooled(triples: Iterator[tuple[int, int, int]], workers: int) -> Iterator[VerdictRecord]:
+    """Records of the triples from a pool of workers, in input order.
+
+    A chunk is submitted only when the reader has taken every record of an
+    earlier one, so at most ``_CHUNKS_PER_WORKER * workers`` chunks are in
+    flight.  No thread feeds the pool: a reader that stops early (a closed
+    generator, or an exception such as BrokenPipeError that drops it) leaves
+    the ``with`` block, which terminates the workers.
+    """
+    from multiprocessing import Pool
+
+    chunks = iter(lambda: list(islice(triples, _CHUNK)), [])
+    with Pool(processes=workers) as pool:
+        window = islice(chunks, _CHUNKS_PER_WORKER * workers)
+        pending = deque(pool.apply_async(_classify_chunk, (chunk,)) for chunk in window)
+        while pending:
+            yield from pending.popleft().get()
+            chunk = next(chunks, None)
+            if chunk is not None:
+                pending.append(pool.apply_async(_classify_chunk, (chunk,)))

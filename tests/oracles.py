@@ -5,7 +5,8 @@ with: every lattice point of the triangle in point order (the package
 reads only the column counts), a dense rational matrix with rank,
 row-space and kernel queries, a Fraction reduced row echelon form
 (unique, so it pins down ranks, pivots and the canonical kernel basis),
-the eagerly rescaled Bareiss elimination,
+fraction-free Bareiss elimination (the package keeps primitive rows
+instead; both give the same pivots and canonical kernel vectors),
 a guard row reduced against an echelon form (the package decides the
 constant term by a pivot test instead), matrix-vector products, the
 shift-substitution membership test with Fraction coefficients and term by
@@ -113,7 +114,7 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
     def echelon(self) -> Echelon:
-        """One fraction-free elimination of the rows.
+        """One elimination of the rows to an echelon form of primitive rows.
 
         Rows are cleared of denominators (row scaling changes neither the
         row space nor the kernel) and zero rows are dropped first.
@@ -400,13 +401,15 @@ def reduce_against(reduced: Echelon, v: Sequence[int]) -> list[int]:
 
 
 def eager_echelon(rows, ncols: int) -> Echelon:
-    """Bareiss elimination that rescales every row at every step.
+    """Fraction-free Bareiss elimination, every row rescaled at every step.
 
-    Same pivot rule as ``symrees.linalg._echelon`` (smallest nonzero
-    magnitude, earliest input row on ties): the rows not yet pivoted stay in
-    input order and no row is swapped, and a row with a zero in the pivot
-    column is multiplied by p / prev at once instead of being left for
-    later.  Works on copies of its arguments.
+    The reference for ``symrees.linalg._echelon``: its entries are minors of
+    the input, and its rows differ from the package's primitive ones, but
+    under the same pivot rule (smallest nonzero magnitude, earliest input
+    row on ties; the rows not yet pivoted stay in input order and no row is
+    swapped) it has the same pivots and, normalized, the same kernel
+    vectors.  A row with a zero in the pivot column is multiplied by
+    p / prev.  Works on copies of its arguments.
     """
     rows = [list(row) for row in rows]
     waiting = list(range(len(rows)))  # input indices of the rows not yet pivoted
@@ -439,16 +442,31 @@ def eager_echelon(rows, ncols: int) -> Echelon:
 
 
 def assert_lazy_echelon_matches_eager(rows, ncols):
-    """Lazy ``_echelon`` and the eager oracle agree on rows, pivots and kernel.
+    """``_echelon`` agrees with ``eager_echelon`` on what every echelon form shares.
 
-    The lazy kernel works in place, so it gets copies; the oracle copies itself.
+    Their rows differ (``_echelon`` keeps primitive rows, the oracle keeps
+    minors of the input), so the check is on the invariants: the pivots,
+    and with them the rank; for every free column fc, both kernel vectors
+    normalized at fc, and the definition of the canonical vector that
+    ``rref_null_space`` reads off the RREF (zero at the other free columns,
+    and M x = 0); every returned row has content 1 and lies in the row space
+    of the input.  Every entry is an ``int``.  ``_echelon`` works in place, so
+    it gets copies; the oracle copies itself.
     """
     want = eager_echelon(rows, ncols)
     got = _echelon([list(r) for r in rows], ncols)
-    assert (got.rows, got.pivots) == (want.rows, want.pivots), rows
-    for fc in range(ncols):
-        if fc not in want.pivots:
-            assert got.kernel_vector(fc) == want.kernel_vector(fc), (rows, fc)
+    assert got.pivots == want.pivots, rows
+    free = [fc for fc in range(ncols) if fc not in got.pivots]
+    for fc in free:
+        kernel = got.kernel_vector(fc)
+        assert all(type(x) is int for x in kernel) and kernel[fc] > 0, (rows, fc)
+        assert all(kernel[c] == 0 for c in free if c != fc), (rows, fc)
+        assert all(sum(map(mul, row, kernel)) == 0 for row in rows), (rows, fc)
+        eager = want.kernel_vector(fc)
+        assert [Fraction(x, kernel[fc]) for x in kernel] == [Fraction(x, eager[fc]) for x in eager]
+    for row in got.rows:
+        assert all(type(x) is int for x in row) and math.gcd(*row) == 1, rows
+        assert not any(reduce_against(want, row)), rows
 
 
 def mul_vector(matrix, x) -> list[Fraction]:

@@ -219,13 +219,15 @@ def test_criterion_8_family_triple_gets_no_verdict():
     "triple, points, dim, echelon",
     [
         # (rank, last pivot, columns, largest echelon entry in bits)
-        ((1969, 2492, 1713), 1435, 9, (1373, 1381, 1382, 1025)),
-        ((1999, 2915, 2656), 1099, 64, (861, 906, 907, 2406)),
+        ((1969, 2492, 1713), 1435, 9, (1373, 1381, 1382, 101)),
+        ((1999, 2915, 2656), 1099, 64, (861, 906, 907, 90)),
+        ((2743, 2273, 1660), 1882, 1, (1820, 1820, 1821, 121)),
     ],
 )
 def test_criterion_9_large_residual_systems(monkeypatch, triple, points, dim, echelon):
-    # neither EU nor GK holds, so one elimination alone decides; the
-    # smallest-magnitude pivot keeps its entries to the pinned sizes
+    # neither EU nor GK holds, so one elimination alone decides; primitive
+    # rows under the smallest-magnitude pivot keep its entries to the pinned
+    # sizes
     shapes = []
 
     def spy(rows, ncols):

@@ -290,8 +290,8 @@ def both_column_sets(p):
 
 
 def test_fd_systems_eliminate_as_the_eager_kernel_up_to_30(validated_30):
-    # the verdict's own systems: rows, pivots and every kernel vector as the
-    # eagerly rescaled kernel gives them
+    # the verdict's own systems: pivots and every canonical kernel vector as
+    # the Bareiss oracle gives them, with primitive rows in the row space
     for p in validated_30:
         cols, m = _fd_columns(p, column_counts(p), p.u)
         if m:

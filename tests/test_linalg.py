@@ -165,9 +165,9 @@ def test_appending_spanned_row_keeps_rank(rows):
 
 
 def _sparse_matrices(zero_frac):
-    # sparse rows give runs of zeros in the pivot column, which is where the
-    # lazy kernel skips rows; zero rows and ties in magnitude exercise the
-    # pivot rule's tie break on the input row index
+    # sparse rows give runs of zeros in the pivot column, rows the
+    # elimination leaves in their buckets; zero rows and ties in magnitude
+    # exercise the pivot rule's tie break on the input row index
     rng = random.Random(24007 + int(100 * zero_frac))
 
     def row(cols):
@@ -182,14 +182,19 @@ def _sparse_matrices(zero_frac):
 def test_lazy_echelon_matches_eager_oracle(zero_frac):
     for rows, ncols in _sparse_matrices(zero_frac):
         assert_lazy_echelon_matches_eager(rows, ncols)
+        # and the RREF, on these small matrices: its pivots and its kernel basis
+        matrix = QMatrix(rows)
+        assert matrix.echelon().pivots == rref(matrix)[1], rows
+        assert matrix.null_space() == rref_null_space(matrix), rows
 
 
 def test_pivot_ties_go_to_the_earliest_input_row():
-    # column 1 ties between input rows 0 and 1 (true entries 1 and -1 after
-    # the pivot -1 of row 2); row 0 wins, although an eager kernel that swaps
-    # row 2 to the top would have moved row 1 ahead of it
+    # column 1 ties between input rows 0 and 1 (entries -1 and 1, which the
+    # pivot -1 of row 2 leaves as they are); row 0 wins and is kept as it
+    # was given, although an eager kernel that swaps row 2 to the top would
+    # have moved row 1 ahead of it
     reduced = _echelon([[0, -1], [0, 1], [-1, 0]], 2)
-    assert (reduced.rows, reduced.pivots) == ([[-1, 0], [0, 1]], [0, 1])
+    assert (reduced.rows, reduced.pivots) == ([[-1, 0], [0, -1]], [0, 1])
     assert_lazy_echelon_matches_eager([[0, -1], [0, 1], [-1, 0]], 2)
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,7 +58,7 @@ def test_classify_one_record_shape():
     assert record.version
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 16])
 def test_scan_bytes_match_recorded_digest(jobs):
     # the JSON-lines encoding of the bound-12 table, as `symrees scan` writes it
     recorded = json.loads(SCAN_DIGESTS.read_text())["bounds"]["12"]
@@ -76,7 +79,8 @@ def test_scan_bytes_match_recorded_digest(jobs):
 def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, started):
     # a worker count above the CPUs starts one worker per CPU, and one worker
     # (or an unknown CPU count) runs in-process; the records do not change.
-    # The pool is a recorder that maps in-process, so no process starts.
+    # The pool is a recorder that runs each chunk in-process, so no process
+    # starts.
     pools = []
 
     class RecordingPool:
@@ -89,11 +93,56 @@ def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, jobs, start
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return SimpleNamespace(get=lambda: result)
 
-    monkeypatch.setattr(symrees.scan, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(symrees.scan.os, "cpu_count", lambda: cpus)
     records = list(run_scan(ScanJob(8, jobs=jobs)))
     assert pools == started
     assert records == list(run_scan(ScanJob(8)))
+
+
+def test_a_slow_reader_bounds_the_records_in_flight(monkeypatch):
+    # records in flight are the triples drawn from iter_triples and not yet
+    # read: a reader that pauses does not let the workers run ahead of it by
+    # more than the window (bound 20 has 2,488 triples, the window 1,024)
+    drawn = 0
+
+    def counted(job):
+        nonlocal drawn
+        for triple in iter_triples(job):
+            drawn += 1
+            yield triple
+
+    monkeypatch.setattr(symrees.scan, "iter_triples", counted)
+    monkeypatch.setattr(symrees.scan.os, "cpu_count", lambda: 2)
+    window = symrees.scan._CHUNKS_PER_WORKER * 2 * symrees.scan._CHUNK
+    most = read = 0
+    for read, _ in enumerate(run_scan(ScanJob(20, jobs=2)), 1):
+        most = max(most, drawn - read)
+        if read % 200 == 1:
+            time.sleep(0.05)
+    assert read == drawn == 2488
+    assert 0 < most <= window
+
+
+def test_an_abandoned_scan_stops_its_workers(monkeypatch):
+    # a closed generator, and a reader that raises (as the CLI's write does
+    # on a closed pipe), both shut the pool down and return
+    monkeypatch.setattr(symrees.scan.os, "cpu_count", lambda: 2)
+    records = run_scan(ScanJob(40, jobs=2))
+    next(records)
+    records.close()
+    assert multiprocessing.active_children() == []
+
+    def read_until_the_pipe_breaks():
+        for _ in run_scan(ScanJob(40, jobs=2)):
+            raise BrokenPipeError
+
+    try:
+        read_until_the_pipe_breaks()
+    except BrokenPipeError:
+        pass
+    assert multiprocessing.active_children() == []
